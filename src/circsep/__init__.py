@@ -18,7 +18,7 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import (EnumerationRequest, compositions, count_by_enumeration,
+from .enumeration import (EnumerationRequest, count_by_enumeration,
                           enumerate_gap, enumerate_naive)
 from .verify import (CHECKS, DOCUMENTATION_CHECKS, IdentityReport, SweepGrid,
                      grid_points, overall_pass, render_table, to_json_lines,
@@ -32,7 +32,7 @@ __all__ = [
     "DOCUMENTATION_CHECKS", "Element", "EnumerationRequest", "IdentityReport",
     "InvariantViolation", "SelectionSet", "SeparationParams", "SweepGrid",
     "SwitchStep", "ZigZagTrace", "backward", "binomial", "check_bijectivity",
-    "circular_distance", "compositions", "count_by_enumeration", "count_circle",
+    "circular_distance", "count_by_enumeration", "count_circle",
     "count_circle_fixed", "count_system", "count_system_convolution",
     "count_system_fixed", "count_system_fixed_recursive", "enumerate_gap",
     "enumerate_naive", "flatten", "format_flat_selection", "forward",

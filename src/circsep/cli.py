@@ -12,7 +12,8 @@ Four subcommands cover the library surface:
 Counts are printed as exact decimal strings (never floats), output for a fixed
 invocation is byte-deterministic, and exit codes are stable: 0 success,
 1 failed verification, 2 usage error, 3 parameter outside an operation's
-precondition (the violated bound is named on stderr).
+precondition (the violated bound is named on stderr), 4 internal error (a
+broken internal invariant, i.e. a bug in circsep, named on stderr).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import json
 import sys
 
 from .bijection import zag, zig
-from .core import (CircleSystem, DomainError, Element, SelectionSet,
-                   SeparationParams, flatten, format_flat_selection,
-                   parse_element, parse_flat_selection, parse_selection,
-                   unflatten)
+from .core import (CircleSystem, DomainError, Element, InvariantViolation,
+                   SelectionSet, SeparationParams, flatten,
+                   format_flat_selection, parse_element, parse_flat_selection,
+                   parse_selection, unflatten)
 from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
 from .enumeration import EnumerationRequest, count_by_enumeration, enumerate_gap
@@ -177,15 +178,24 @@ def _cmd_enumerate(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _parse_set(text: str, parse, parser: argparse.ArgumentParser):
+    """Parse ``--set`` with ``parse``; an element listed twice is a usage
+    error rather than silently dropped, since it would change k."""
+    try:
+        parsed = parse(text)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if len(parsed) != (len(text.split(",")) if text.strip() else 0):
+        parser.error(f"--set lists an element more than once: {text.strip()}")
+    return parsed
+
+
 def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
     system = CircleSystem(args.sizes)
     if system.num_circles != 2:
         parser.error("bijection requires exactly two circle sizes")
     if args.direction == "forward":
-        try:
-            selection = parse_selection(args.selection)
-        except ValueError as exc:
-            parser.error(str(exc))
+        selection = _parse_set(args.selection, parse_selection, parser)
         for e in selection:
             if e not in system:
                 parser.error(f"element {e} does not exist in system "
@@ -193,10 +203,7 @@ def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
         repaired, trace = zig(selection, system, args.s)
         out = format_flat_selection(flatten(e, system) for e in repaired)
     else:
-        try:
-            positions = parse_flat_selection(args.selection)
-        except ValueError as exc:
-            parser.error(str(exc))
+        positions = _parse_set(args.selection, parse_flat_selection, parser)
         total = system.total
         for p in positions:
             if not 1 <= p <= total:
@@ -220,15 +227,9 @@ def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    checks = tuple(CHECKS)
+    checks = CHECKS
     if args.checks is not None:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
-        unknown = [c for c in checks if c not in CHECKS]
-        if unknown:
-            parser.error(f"unknown checks: {', '.join(unknown)}; "
-                         f"available: {', '.join(CHECKS)}")
-        if not checks:
-            parser.error("--checks must name at least one check")
     grid = SweepGrid(max_size=args.max_size, max_k=args.max_k, max_s=args.max_s,
                      checks=checks, jobs=args.jobs)
     reports = verify_all(grid)
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

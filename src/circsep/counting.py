@@ -16,10 +16,11 @@ Out-of-precondition parameters raise :class:`DomainError` - use
 rational-looking forms are evaluated numerator first and divided last; the
 division is asserted exact, so a failed divisibility can never round silently.
 
-``count_system_fixed_recursive`` recomputes the fixed count by splitting on
-how many elements land on the last circle, and ``count_system_convolution``
-recomputes the free count by distributing k over the circles; both exist to be
-checked against the direct forms.
+``count_system_convolution`` and ``count_system_fixed_recursive`` recompute
+the free and the fixed count from single-circle counts alone: coefficient j
+of a circle's polynomial counts the ways to put j elements on it, and the
+system's count is the coefficient of x^k in the product of those polynomials.
+Both exist to be checked against the direct forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 
 from .core import CircleSystem, DomainError, Element, InvariantViolation
-from .enumeration import compositions
 
 
 def binomial(n: int, k: int) -> int:
@@ -134,33 +134,40 @@ def count_system(system: CircleSystem, s: int, k: int) -> int:
     return _exact_div(total * binomial(total - s * k - 1, k - 1), k, "count_system")
 
 
-def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
-    """Fixed-element count through (1,1), by recursion on the number of circles.
+def _spread(factors, k: int) -> int:
+    """Coefficient of x^k in the product of the per-circle polynomials
+    ``factors``, where coefficient j of a factor counts the ways to put j of
+    the k elements on that circle.  Products are truncated at degree k, so
+    this costs O(p*k^2) for p circles however many ways there are to spread k.
+    """
+    product = [1] + [0] * k
+    for factor in factors:
+        product = [sum(product[i] * factor[j - i] for i in range(j + 1))
+                   for j in range(k + 1)]
+    return product[k]
 
-    Splits on how many of the k elements avoid the last circle: with j
-    elements (including the fixed one) on the first p-1 circles, the last
-    circle contributes a free (k-j)-subset.  Preconditions match
-    ``count_system_fixed`` with ``fixed = 1@1``.
+
+def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
+    """Fixed-element count through (1,1), recomputed one circle at a time:
+    the polynomial product of ``count_circle_fixed`` on the first circle
+    (0 at j = 0) and ``count_circle`` on every other circle (0 at j = k, as
+    the fixed element leaves room for at most k - 1 there).  Preconditions
+    match ``count_system_fixed`` with ``fixed = 1@1``.
     """
     _check_sk(s, k)
     if k < 1:
         raise DomainError(f"count_system_fixed_recursive requires k >= 1, got k={k}")
     _check_fixed_system(system, s, k, Element(1, 1))
-
-    def rec(sizes: tuple[int, ...], kk: int) -> int:
-        if len(sizes) == 1:
-            return count_circle_fixed(sizes[0], s, kk)
-        return sum(
-            rec(sizes[:-1], j) * count_circle(sizes[-1], s, kk - j)
-            for j in range(1, kk + 1))
-
-    return rec(system.sizes, k)
+    first, *rest = system.sizes
+    factors = [[0] + [count_circle_fixed(first, s, j) for j in range(1, k + 1)]]
+    factors += [[count_circle(n, s, j) for j in range(k)] + [0] for n in rest]
+    return _spread(factors, k)
 
 
 def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
-    """Free count as a convolution of single-circle counts over all ways of
-    distributing k among the circles.  Requires every circle size >= s*k + 1
-    (so that each single-circle factor is in its exact range); k = 0 gives 1.
+    """Free count as the polynomial product of single-circle counts, one
+    factor per circle.  Requires every circle size >= s*k + 1 (so that each
+    single-circle factor is in its exact range); k = 0 gives 1.
     """
     _check_sk(s, k)
     for circle, n in enumerate(system.sizes, 1):
@@ -169,12 +176,5 @@ def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
                 f"count_system_convolution requires every circle size >= s*k+1 "
                 f"(got n_{circle}={n}, s={s}, k={k}); "
                 "use count_by_enumeration instead")
-    total = 0
-    for comp in compositions(k, system.num_circles):
-        term = 1
-        for n, j in zip(system.sizes, comp):
-            term *= count_circle(n, s, j)
-            if term == 0:
-                break
-        total += term
-    return total
+    return _spread([[count_circle(n, s, j) for j in range(k + 1)]
+                    for n in system.sizes], k)

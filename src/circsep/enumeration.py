@@ -2,23 +2,21 @@
 
 Two generators produce the same family of sets.  ``enumerate_naive`` filters
 every k-subset of the ground set and is deliberately simple: it is the oracle
-everything else is measured against.  ``enumerate_gap`` builds selections
-circle by circle, extending each circle's choice position by position and
-pruning candidates that would land within distance ``s`` of an element already
-chosen on the same circle (including the wrap-around gap back to the first
-choice); the per-circle streams are combined over all ways of distributing
-``k`` among the circles.  Both yield selections in lexicographic order of the
-canonical (circle, position) serialization, so output is deterministic and
-directly comparable.
+everything else is measured against.  ``enumerate_gap`` runs one depth-first
+search over the canonical (circle, position) order: each depth picks the next
+element after the previous one, on the same circle at least ``s + 1`` further
+on and within the wrap-around gap back to that circle's first pick, or on a
+later circle.  A branch is cut as soon as the circles left cannot hold the
+rest of k.  Both yield selections in lexicographic order of the canonical
+(circle, position) serialization, so output is deterministic and directly
+comparable.
 
-``count_by_enumeration`` consumes the pruned stream without materializing it.
+``count_by_enumeration`` counts the same search without building selections.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .core import CircleSystem, Element, SelectionSet, SeparationParams
@@ -35,17 +33,6 @@ class EnumerationRequest:
     def __post_init__(self) -> None:
         if self.fixed is not None:
             self.system.check_element(self.fixed)
-
-
-def compositions(total: int, parts: int):
-    """Yield all tuples of ``parts`` nonnegative integers summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def enumerate_naive(request: EnumerationRequest):
@@ -76,102 +63,82 @@ def enumerate_naive(request: EnumerationRequest):
             yield SelectionSet(tuple(Element(p, c) for c, p in combo))
 
 
-def _circle_subsets(n: int, count: int, s: int, required: int | None = None):
-    """Yield increasing position tuples on one circle of size ``n``, pairwise
-    circular distance >= s + 1, optionally forced to contain ``required``.
-
-    For increasing positions it is enough that consecutive choices differ by
-    at least ``s + 1`` and that the wrap-around gap from the last choice back
-    to the first is also at least ``s + 1``; every other pair is then farther
-    apart on both arcs.
+def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
+           first: int, rem: int):
+    """Candidates ``((circle, position), first)`` for the pick after ``last``,
+    in canonical order; ``first`` is the first pick on the candidate's circle.
+    No candidate leaves too little room for the ``rem`` picks still to follow:
+    the circles after ``c`` hold at most ``after[c]``, the rest must fit on ``c``.
     """
-    if count == 0:
-        if required is None:
+    c0, q0 = last
+    if c0:
+        n = sizes[c0 - 1]
+        hi = min(n, first + n - gap) - max(0, rem - after[c0]) * gap
+        for q in range(q0 + gap, hi + 1):
+            yield (c0, q), first
+    for c in range(c0 + 1, len(sizes) + 1):
+        n = sizes[c - 1]
+        need = max(0, rem - after[c])  # picks that must share circle c
+        if need and n < (need + 1) * gap:
+            return  # and every later circle has even less room
+        for q in range(1, n - need * gap + 1):
+            yield (c, q), q
+
+
+def _selections(sizes, s: int, k: int, fixed):
+    """Yield the s-separated k-selections of circles of the given sizes as
+    increasing tuples of (circle, position) pairs, in lexicographic order;
+    with ``fixed``, a (circle, position) pair, only those containing it.
+
+    A depth-first search on an explicit stack of candidate iterators, one per
+    open depth: depth d takes the d-th element of the selection, always after
+    the one before it, so selections come out in lexicographic order.  For
+    positions increasing on one circle it is enough that consecutive picks
+    differ by at least s + 1 and that none passes ``first + n - (s + 1)``, the
+    wrap-around bound back to the circle's first pick; every other pair is
+    then farther apart.  A circle of size n holds at most ``max(1, n // (s+1))``
+    picks.  Until ``fixed`` is taken, the first candidate past it ends its
+    depth.
+    """
+    if k == 0:
+        if fixed is None:
             yield ()
-        return
-    if count == 1:
-        if required is not None:
-            yield (required,)
-        else:
-            for q in range(1, n + 1):
-                yield (q,)
         return
     gap = s + 1
-    if n < count * gap:
-        return  # the circle cannot hold that many choices at all
-
-    def extend(chosen: list[int], have_required: bool):
-        need = count - len(chosen)
-        if need == 0:
-            if required is None or have_required:
-                yield tuple(chosen)
-            return
-        lo = chosen[-1] + gap
-        # the last choice must leave a wrap-around gap back to the first
-        hi = min(n, chosen[0] + n - gap - (need - 1) * gap)
-        if required is not None and not have_required:
-            if required < lo:
-                return  # the required position can no longer be reached
-            hi = min(hi, required)
-            if need == 1:
-                lo = required  # the one remaining slot must take it
-        for q in range(lo, hi + 1):
-            chosen.append(q)
-            yield from extend(chosen, have_required or q == required)
-            chosen.pop()
-
-    first_hi = n - (count - 1) * gap  # room for the rest above the first pick
-    if required is not None:
-        first_hi = min(first_hi, required)
-    for first in range(1, first_hi + 1):
-        yield from extend([first], first == required)
-
-
-def _composition_raw(system: CircleSystem, s: int, comp: tuple[int, ...],
-                     fixed: Element | None):
-    """Position tuples per circle for one way of distributing k, combined in
-    lexicographic order without materializing per-circle pools."""
-    sizes = system.sizes
-
-    def rec(circle: int):
-        if circle > len(sizes):
-            yield ()
-            return
-        want = comp[circle - 1]
-        req = fixed.position if fixed is not None and fixed.circle == circle else None
-        for head in _circle_subsets(sizes[circle - 1], want, s, req):
-            head_elems = tuple((p, circle) for p in head)
-            for tail in rec(circle + 1):
-                yield head_elems + tail
-
-    return rec(1)
-
-
-def _composition_stream(system: CircleSystem, s: int, comp: tuple[int, ...],
-                        fixed: Element | None):
-    for pairs in _composition_raw(system, s, comp, fixed):
-        yield SelectionSet(tuple(Element(p, c) for p, c in pairs))
+    after = [0] * (len(sizes) + 1)  # after[c]: most picks circles > c can hold
+    for c in range(len(sizes) - 1, -1, -1):
+        after[c] = after[c + 1] + max(1, sizes[c] // gap)
+    path: list[tuple[int, int]] = []  # the chosen pairs, one per open depth
+    stack = [_picks(sizes, gap, after, (0, 0), 0, k - 1)]
+    pending = fixed  # the fixed pair until it is chosen
+    while stack:
+        if len(path) == len(stack):  # the deepest depth moves past its pick
+            if path.pop() == fixed:
+                pending = fixed
+        pick = next(stack[-1], None)
+        if pick is None or (pending is not None and pick[0] > pending):
+            stack.pop()
+            continue
+        pair, first = pick
+        path.append(pair)
+        if pair == pending:
+            pending = None
+        if len(path) < k:
+            stack.append(_picks(sizes, gap, after, pair, first, k - len(path) - 1))
+        elif pending is None:
+            yield tuple(path)
 
 
 def enumerate_gap(request: EnumerationRequest):
-    """Pruned enumerator; same sets and the same order as ``enumerate_naive``.
-
-    Each way of distributing k among the circles produces one lazily merged
-    stream, so memory stays bounded by the recursion depth times the number
-    of distributions.
-    """
-    system, params, fixed = request.system, request.params, request.fixed
-    streams = [
-        _composition_stream(system, params.s, comp, fixed)
-        for comp in compositions(params.k, system.num_circles)
-    ]
-    return heapq.merge(*streams, key=operator.attrgetter("key"))
+    """Pruned enumerator; same sets and the same order as ``enumerate_naive``."""
+    fixed = request.fixed.key if request.fixed is not None else None
+    for pairs in _selections(request.system.sizes, request.params.s,
+                             request.params.k, fixed):
+        yield SelectionSet(tuple(Element(p, c) for c, p in pairs))
 
 
 def count_by_enumeration(request: EnumerationRequest) -> int:
-    """Count by streaming the pruned enumerator; exact for any parameters."""
-    system, params, fixed = request.system, request.params, request.fixed
-    total = 0
-    for comp in compositions(params.k, system.num_circles):
-        total += sum(1 for _ in _composition_raw(system, params.s, comp, fixed))
-    return total
+    """Count by streaming the pruned search; exact for any parameters."""
+    fixed = request.fixed.key if request.fixed is not None else None
+    return sum(1 for _ in _selections(request.system.sizes, request.params.s,
+                                      request.params.k, fixed))

@@ -31,50 +31,9 @@ from .core import CircleSystem, DomainError, Element, SeparationParams
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, enumerate_gap
-
-CHECKS = (
-    "circle",             # closed single-circle count vs enumeration
-    "circle-fixed",       # fixed-element count vs enumeration, every rotation
-    "system",             # closed multi-circle count vs enumeration
-    "system-fixed",       # fixed-element system count vs enumeration, every element
-    "recursion",          # peel-last-circle recursion vs direct fixed count
-    "convolution",        # distribute-k convolution vs direct free count
-    "fixed-sum",          # two-circle fixed-element sum identity (corrected)
-    "fixed-sum-printed",  # the misprinted variant, reported for documentation
-    "bijection",          # exhaustive forward/backward round trip per point
-    "double-count",       # k * free count == N * fixed count
-    "divisibility",       # the divisors in the closed forms divide exactly
-)
+from .enumeration import EnumerationRequest, _selections, count_by_enumeration
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
-
-
-@dataclass(frozen=True, slots=True)
-class SweepGrid:
-    """Grid bounds and execution hints for ``verify_all``.
-
-    Sweeps run s in ``1..max_s``, k in ``1..max_k``, and circle sizes up to
-    ``max_size`` (lower bounds follow each check's precondition).
-    """
-
-    max_size: int = 10
-    max_k: int = 3
-    max_s: int = 2
-    checks: tuple[str, ...] = CHECKS
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_size < 1 or self.max_k < 1 or self.max_s < 1:
-            raise ValueError("grid bounds must be >= 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        unknown = [c for c in self.checks if c not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}; "
-                             f"available: {', '.join(CHECKS)}")
-        ordered = tuple(c for c in CHECKS if c in set(self.checks))
-        object.__setattr__(self, "checks", ordered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,26 +209,12 @@ def _gen_pairs(grid: SweepGrid, check: str, second_lo_offset: int,
                 yield check, {first: a, second: b, "s": s, "k": k}, None
 
 
-_GENERATORS = {
-    "circle": lambda g: _gen_circle(g, "circle"),
-    "circle-fixed": lambda g: _gen_circle(g, "circle-fixed"),
-    "system": lambda g: _gen_systems(g, "system", 1),
-    "system-fixed": lambda g: _gen_systems(g, "system-fixed", 0),
-    "recursion": lambda g: _gen_recursion(g, "recursion"),
-    "convolution": lambda g: _gen_pairs(g, "convolution", 1, ("n1", "n2")),
-    "fixed-sum": lambda g: _gen_pairs(g, "fixed-sum", 0, ("n", "m")),
-    "fixed-sum-printed": lambda g: _gen_pairs(g, "fixed-sum-printed", 0, ("n", "m")),
-    "bijection": lambda g: _gen_pairs(g, "bijection", 0, ("n1", "n2")),
-    "double-count": lambda g: _gen_systems(g, "double-count", 1),
-    "divisibility": lambda g: _gen_circle(g, "divisibility"),
-}
-
-
 def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
     """All parameter points of the selected checks, in canonical order."""
     points: list[tuple[str, dict, str | None]] = []
     for check in grid.checks:
-        points.extend(_GENERATORS[check](grid))
+        generator, args, _ = _CHECKS[check]
+        points.extend(generator(grid, check, *args))
     return points
 
 
@@ -283,12 +228,11 @@ def _oracle_count(sizes, s, k, fixed=None) -> int:
 
 
 def _element_buckets(sizes, s, k) -> Counter:
-    """Per-element membership counts over all s-separated k-selections."""
+    """Per-element membership counts over all s-separated k-selections,
+    keyed by (circle, position)."""
     buckets: Counter = Counter()
-    for sel in enumerate_gap(EnumerationRequest(
-            CircleSystem(tuple(sizes)), SeparationParams(s, k))):
-        for e in sel:
-            buckets[(e.position, e.circle)] += 1
+    for pairs in _selections(tuple(sizes), s, k, None):
+        buckets.update(pairs)
     return buckets
 
 
@@ -302,7 +246,7 @@ def _eval_circle_fixed(params: dict) -> IdentityReport:
     closed = count_circle_fixed(n, s, k)
     buckets = _element_buckets([n], s, k)
     for a in range(1, n + 1):
-        got = buckets.get((a, 1), 0)
+        got = buckets[1, a]
         if got != closed:
             return _report("circle-fixed", params, closed, got,
                            counterexample=f"fixed={a}@1: enumeration {got}, "
@@ -328,7 +272,7 @@ def _eval_system_fixed(params: dict) -> IdentityReport:
     for c in qualifying:
         for a in range(1, sizes[c - 1] + 1):
             closed = count_system_fixed(system, s, k, Element(a, c))
-            got = buckets.get((a, c), 0)
+            got = buckets[c, a]
             if got != closed:
                 return _report("system-fixed", params, closed, got,
                                counterexample=f"fixed={a}@{c}: enumeration {got}, "
@@ -386,26 +330,73 @@ def _eval_divisibility(params: dict) -> IdentityReport:
                    f"remainders: free form {rem_free}, fixed form {rem_fixed}")
 
 
-_EVALUATORS = {
-    "circle": _eval_circle,
-    "circle-fixed": _eval_circle_fixed,
-    "system": _eval_system,
-    "system-fixed": _eval_system_fixed,
-    "recursion": _eval_recursion,
-    "convolution": _eval_convolution,
-    "fixed-sum": _eval_fixed_sum,
-    "fixed-sum-printed": _eval_fixed_sum_printed,
-    "bijection": _eval_bijection,
-    "double-count": _eval_double_count,
-    "divisibility": _eval_divisibility,
+# ---------------------------------------------------------------------------
+# the check registry: name -> (grid generator, its extra arguments, evaluator),
+# in canonical report order
+
+
+_CHECKS = {
+    # closed single-circle count vs enumeration
+    "circle": (_gen_circle, (), _eval_circle),
+    # fixed-element count vs enumeration, every rotation
+    "circle-fixed": (_gen_circle, (), _eval_circle_fixed),
+    # closed multi-circle count vs enumeration
+    "system": (_gen_systems, (1,), _eval_system),
+    # fixed-element system count vs enumeration, every element
+    "system-fixed": (_gen_systems, (0,), _eval_system_fixed),
+    # one-circle-at-a-time recomputation vs direct fixed count
+    "recursion": (_gen_recursion, (), _eval_recursion),
+    # polynomial product of single-circle counts vs direct free count
+    "convolution": (_gen_pairs, (1, ("n1", "n2")), _eval_convolution),
+    # two-circle fixed-element sum identity (corrected)
+    "fixed-sum": (_gen_pairs, (0, ("n", "m")), _eval_fixed_sum),
+    # the misprinted variant, reported for documentation
+    "fixed-sum-printed": (_gen_pairs, (0, ("n", "m")), _eval_fixed_sum_printed),
+    # exhaustive forward/backward round trip per point
+    "bijection": (_gen_pairs, (0, ("n1", "n2")), _eval_bijection),
+    # k * free count == N * fixed count
+    "double-count": (_gen_systems, (1,), _eval_double_count),
+    # the divisors in the closed forms divide exactly
+    "divisibility": (_gen_circle, (), _eval_divisibility),
 }
+
+CHECKS = tuple(_CHECKS)
+
+
+@dataclass(frozen=True, slots=True)
+class SweepGrid:
+    """Grid bounds and execution hints for ``verify_all``.
+
+    Sweeps run s in ``1..max_s``, k in ``1..max_k``, and circle sizes up to
+    ``max_size`` (lower bounds follow each check's precondition).
+    """
+
+    max_size: int = 10
+    max_k: int = 3
+    max_s: int = 2
+    checks: tuple[str, ...] = CHECKS
+    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_size < 1 or self.max_k < 1 or self.max_s < 1:
+            raise ValueError("grid bounds must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not self.checks:
+            raise ValueError("at least one check is required")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks: {', '.join(unknown)}; "
+                             f"available: {', '.join(CHECKS)}")
+        ordered = tuple(c for c in CHECKS if c in set(self.checks))
+        object.__setattr__(self, "checks", ordered)
 
 
 def evaluate_point(point: tuple[str, dict, str | None]) -> IdentityReport:
     check, params, skip_reason = point
     if skip_reason is not None:
         return _skipped(check, params, skip_reason)
-    return _EVALUATORS[check](params)
+    return _CHECKS[check][2](params)
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:

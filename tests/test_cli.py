@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import circsep.cli as cli
+from circsep.core import InvariantViolation
 from circsep.verify import IdentityReport
 
 
@@ -60,6 +61,16 @@ def test_count_enumerate_covers_what_closed_forms_refuse(capsys):
     rc, out, _ = run(capsys, "count", "--sizes", "4", "--s", "2", "--k", "2",
                      "--method", "enumerate")
     assert (rc, out) == (0, "0\n")
+
+
+def test_count_enumerate_many_circles(capsys):
+    # more circles than the interpreter's recursion limit
+    rc, out, _ = run(capsys, "count", "--sizes", ",".join(["5"] * 1200),
+                     "--s", "1", "--k", "1", "--method", "enumerate")
+    assert (rc, out) == (0, "6000\n")
+    rc, out, _ = run(capsys, "count", "--sizes", ",".join(["1"] * 1100),
+                     "--s", "0", "--k", "1100", "--method", "enumerate")
+    assert (rc, out) == (0, "1\n")
 
 
 def test_count_usage_errors(capsys):
@@ -181,6 +192,17 @@ def test_bijection_usage_errors(capsys):
                "--set", "1@1")[0] == 2
 
 
+def test_bijection_rejects_duplicate_elements(capsys):
+    rc, out, err = run(capsys, "bijection", "forward", "--sizes", "9,9",
+                       "--s", "1", "--set", "1@1,1@1,4@1")
+    assert (rc, out) == (2, "")
+    assert "more than once" in err
+    rc, out, err = run(capsys, "bijection", "backward", "--sizes", "9,9",
+                       "--s", "1", "--set", "1,1,4")
+    assert (rc, out) == (2, "")
+    assert "more than once" in err
+
+
 def test_bijection_domain_errors(capsys):
     rc, _, err = run(capsys, "bijection", "forward", "--sizes", "4,3",
                      "--s", "1", "--set", "1@1,2@1")
@@ -236,6 +258,17 @@ def test_verify_reports_failure_in_exit_code(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # cross-cutting behavior
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # a broken invariant is a bug in circsep, never a failed verification
+    def broken(*args):
+        raise InvariantViolation("count_system: 7 is not divisible by 2")
+
+    monkeypatch.setattr(cli, "count_system", broken)
+    rc, out, err = run(capsys, "count", "--sizes", "8,7", "--s", "2", "--k", "3")
+    assert (rc, out) == (4, "")
+    assert err == "internal error: count_system: 7 is not divisible by 2\n"
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,11 +1,16 @@
 import itertools
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from circsep.core import CircleSystem, Element, SelectionSet, SeparationParams
-from circsep.enumeration import (EnumerationRequest, compositions,
-                                 count_by_enumeration, enumerate_gap,
-                                 enumerate_naive)
+from circsep.core import (CircleSystem, Element, SelectionSet, SeparationParams,
+                          is_s_separated)
+from circsep.counting import (count_system, count_system_convolution,
+                              count_system_fixed)
+from circsep.enumeration import (EnumerationRequest, count_by_enumeration,
+                                 enumerate_gap, enumerate_naive)
 
 
 def request(sizes, s, k, fixed=None):
@@ -80,22 +85,6 @@ def test_request_validates_fixed():
 
 
 # ---------------------------------------------------------------------------
-# compositions
-
-
-def test_compositions_order_and_count():
-    got = list(compositions(2, 2))
-    assert got == [(0, 2), (1, 1), (2, 0)]
-    for total, parts in ((0, 1), (3, 2), (4, 3), (5, 4)):
-        comps = list(compositions(total, parts))
-        assert all(sum(c) == total and len(c) == parts for c in comps)
-        assert comps == sorted(comps)
-        assert len(comps) == len(set(comps))
-        from math import comb
-        assert len(comps) == comb(total + parts - 1, parts - 1)
-
-
-# ---------------------------------------------------------------------------
 # the two enumerators agree, sets and order both
 
 
@@ -138,6 +127,41 @@ def test_count_matches_stream_length():
     for sizes, s, k in (([10], 1, 3), ([8, 7], 2, 3), ([5, 5, 5], 1, 3)):
         req = request(sizes, s, k)
         assert count_by_enumeration(req) == sum(1 for _ in enumerate_gap(req))
+
+
+@st.composite
+def requests(draw):
+    """Up to 4 circles of up to 20 positions, s <= 3, k <= 4, and sometimes a
+    fixed element; at most 20,000 k-subsets of the ground set, so that each
+    example stays fast."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    s, k = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    assume(comb(sum(sizes), k) <= 20_000)
+    fixed = None
+    if draw(st.booleans()):
+        circle = draw(st.integers(1, len(sizes)))
+        fixed = Element(draw(st.integers(1, sizes[circle - 1])), circle)
+    return request(sizes, s, k, fixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests())
+def test_gap_search_properties(req):
+    system, s, k, fixed = req.system, req.params.s, req.params.k, req.fixed
+    sels = list(enumerate_gap(req))
+    keys = [sel.key for sel in sels]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for sel in sels:
+        assert len(sel) == k and is_s_separated(sel, system, s)
+        assert fixed is None or fixed in sel
+    assert len(sels) == count_by_enumeration(req)
+    if fixed is None and all(n >= s * k + 1 for n in system.sizes):
+        assert len(sels) == count_system(system, s, k) \
+            == count_system_convolution(system, s, k)
+    if fixed is not None and k >= 1 and all(
+            n >= s * k + (c == fixed.circle)
+            for c, n in enumerate(system.sizes, 1)):
+        assert len(sels) == count_system_fixed(system, s, k, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def test_grid_validation():
         SweepGrid(jobs=0)
     with pytest.raises(ValueError):
         SweepGrid(max_size=0)
+    with pytest.raises(ValueError, match="at least one check"):
+        SweepGrid(checks=())  # an empty sweep would pass vacuously
 
 
 def test_grid_normalizes_check_order():
