@@ -19,7 +19,7 @@ from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
 from .enumeration import (EnumerationRequest, count_by_enumeration,
-                          enumerate_gap, enumerate_naive)
+                          enumerate_gap, enumerate_naive, selection_keys)
 from .verify import (CHECKS, DOCUMENTATION_CHECKS, IdentityReport, SweepGrid,
                      grid_points, overall_pass, render_table, to_json_lines,
                      verify_all, verify_convolution_identity,
@@ -37,7 +37,7 @@ __all__ = [
     "count_system_fixed", "count_system_fixed_recursive", "enumerate_gap",
     "enumerate_naive", "flatten", "format_flat_selection", "forward",
     "grid_points", "is_s_separated", "overall_pass", "parse_element",
-    "parse_flat_selection", "parse_selection", "render_table", "to_json_lines",
-    "unflatten", "verify_all", "verify_convolution_identity",
+    "parse_flat_selection", "parse_selection", "render_table", "selection_keys",
+    "to_json_lines", "unflatten", "verify_all", "verify_convolution_identity",
     "verify_fixed_sum_identity", "verify_fixed_sum_printed", "zag", "zig",
 ]

@@ -4,7 +4,10 @@ Four subcommands cover the library surface:
 
 * ``count``      exact counts via closed forms, recursion, convolution, or
                  streaming enumeration
-* ``enumerate``  list the selections themselves
+* ``enumerate``  list the selections themselves, streamed line by line from
+                 the search's raw (circle, position) tuples
+                 (``enumeration.selection_keys``) with no selection objects
+                 built; ``enumeration.enumerate_gap`` is the object API
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
 * ``verify``     sweep the identity checks over a parameter grid
@@ -19,7 +22,6 @@ broken internal invariant, i.e. a bug in circsep, named on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -31,7 +33,7 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    parse_selection, unflatten)
 from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, enumerate_gap
+from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
 from .verify import (CHECKS, SweepGrid, overall_pass, render_table,
                      to_json_lines, verify_all)
 
@@ -162,19 +164,19 @@ def _cmd_enumerate(args, parser: argparse.ArgumentParser) -> int:
     if args.fixed is not None and args.fixed not in system:
         parser.error(f"--fixed {args.fixed} does not exist in system "
                      f"{list(args.sizes)}")
-    stream = enumerate_gap(EnumerationRequest(
+    stream = selection_keys(EnumerationRequest(
         system, SeparationParams(args.s, args.k), args.fixed))
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
+    # each (circle, position) pair as Element.__str__ writes it
+    rows = ([f"{p}@{c}" for c, p in pairs] for pairs in stream)
+    write = sys.stdout.write
     if args.format == "json":
-        print(_json_dump([[str(e) for e in sel] for sel in stream]))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for sel in stream:
-            writer.writerow([str(e) for e in sel])
+        write(_json_dump(list(rows)) + "\n")
     else:
-        for sel in stream:
-            print(sel)
+        # text; also CSV, whose writer would not quote these fields
+        for row in rows:
+            write(",".join(row) + "\n")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Two generators produce the same family of sets.  ``enumerate_naive`` filters
 every k-subset of the ground set and is deliberately simple: it is the oracle
-everything else is measured against.  ``enumerate_gap`` runs one depth-first
+everything else is measured against.  The pruned side is one depth-first
 search over the canonical (circle, position) order: each depth picks the next
 element after the previous one, on the same circle at least ``s + 1`` further
 on and within the wrap-around gap back to that circle's first pick, or on a
@@ -11,7 +11,11 @@ rest of k.  Both yield selections in lexicographic order of the canonical
 (circle, position) serialization, so output is deterministic and directly
 comparable.
 
-``count_by_enumeration`` counts the same search without building selections.
+``selection_keys`` streams the search's raw output, one increasing tuple of
+(circle, position) pairs per selection, and is what every consumer reads:
+``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``;
+``count_by_enumeration`` counts the tuples; the ``enumerate`` command formats
+them straight to text.
 """
 
 from __future__ import annotations
@@ -85,10 +89,10 @@ def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
             yield (c, q), q
 
 
-def _selections(sizes, s: int, k: int, fixed):
-    """Yield the s-separated k-selections of circles of the given sizes as
-    increasing tuples of (circle, position) pairs, in lexicographic order;
-    with ``fixed``, a (circle, position) pair, only those containing it.
+def selection_keys(request: EnumerationRequest):
+    """Yield the selections of ``request`` as increasing tuples of (circle,
+    position) pairs, the same sets in the same order as ``enumerate_gap``,
+    without building an ``Element`` or a ``SelectionSet``.
 
     A depth-first search on an explicit stack of candidate iterators, one per
     open depth: depth d takes the d-th element of the selection, always after
@@ -100,6 +104,8 @@ def _selections(sizes, s: int, k: int, fixed):
     picks.  Until ``fixed`` is taken, the first candidate past it ends its
     depth.
     """
+    sizes, s, k = request.system.sizes, request.params.s, request.params.k
+    fixed = request.fixed.key if request.fixed is not None else None
     if k == 0:
         if fixed is None:
             yield ()
@@ -131,14 +137,10 @@ def _selections(sizes, s: int, k: int, fixed):
 
 def enumerate_gap(request: EnumerationRequest):
     """Pruned enumerator; same sets and the same order as ``enumerate_naive``."""
-    fixed = request.fixed.key if request.fixed is not None else None
-    for pairs in _selections(request.system.sizes, request.params.s,
-                             request.params.k, fixed):
+    for pairs in selection_keys(request):
         yield SelectionSet(tuple(Element(p, c) for c, p in pairs))
 
 
 def count_by_enumeration(request: EnumerationRequest) -> int:
     """Count by streaming the pruned search; exact for any parameters."""
-    fixed = request.fixed.key if request.fixed is not None else None
-    return sum(1 for _ in _selections(request.system.sizes, request.params.s,
-                                      request.params.k, fixed))
+    return sum(1 for _ in selection_keys(request))

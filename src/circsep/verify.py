@@ -31,7 +31,7 @@ from .core import CircleSystem, DomainError, Element, SeparationParams
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, _selections, count_by_enumeration
+from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 
@@ -231,7 +231,8 @@ def _element_buckets(sizes, s, k) -> Counter:
     """Per-element membership counts over all s-separated k-selections,
     keyed by (circle, position)."""
     buckets: Counter = Counter()
-    for pairs in _selections(tuple(sizes), s, k, None):
+    for pairs in selection_keys(EnumerationRequest(
+            CircleSystem(tuple(sizes)), SeparationParams(s, k))):
         buckets.update(pairs)
     return buckets
 

@@ -1,11 +1,20 @@
+import contextlib
+import csv
+import io
 import json
 import subprocess
 import sys
+import threading
+from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import circsep.cli as cli
-from circsep.core import InvariantViolation
+from circsep.core import (CircleSystem, Element, InvariantViolation,
+                          SeparationParams)
+from circsep.enumeration import EnumerationRequest, enumerate_gap
 from circsep.verify import IdentityReport
 
 
@@ -13,6 +22,15 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def call(argv):
+    """``main(argv)`` with stdout and stderr captured, for hypothesis tests,
+    which cannot use the function-scoped ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +149,78 @@ def test_enumerate_empty_family(capsys):
 def test_enumerate_rejects_unknown_fixed(capsys):
     assert run(capsys, "enumerate", "--sizes", "4,3", "--s", "1", "--k", "2",
                "--fixed", "4@2")[0] == 2
+
+
+def library_output(sizes, s, k, fixed, limit, fmt):
+    """What ``enumerate`` prints, formatted from ``enumerate_gap``'s
+    ``SelectionSet`` objects."""
+    sels = list(enumerate_gap(EnumerationRequest(
+        CircleSystem(sizes), SeparationParams(s, k), fixed)))[:limit]
+    if fmt == "json":
+        return json.dumps([[str(e) for e in sel] for sel in sels],
+                          separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for sel in sels:
+            writer.writerow([str(e) for e in sel])
+        return buf.getvalue()
+    return "".join(f"{sel}\n" for sel in sels)
+
+
+@st.composite
+def enumerate_queries(draw):
+    """Up to 4 circles of up to 12 positions, s <= 3, k <= 4, sometimes a
+    fixed element and a limit; at most 20,000 k-subsets of the ground set."""
+    sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    s, k = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    assume(comb(sum(sizes), k) <= 20_000)
+    fixed = None
+    if draw(st.booleans()):
+        circle = draw(st.integers(1, len(sizes)))
+        fixed = Element(draw(st.integers(1, sizes[circle - 1])), circle)
+    limit = draw(st.none() | st.integers(0, 40))
+    fmt = draw(st.sampled_from((None, "text", "json", "csv")))
+    return sizes, s, k, fixed, limit, fmt
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumerate_queries())
+@example(((5,), 2, 2, None, None, "csv"))         # empty family
+@example(((4, 3), 1, 0, None, None, "json"))      # k = 0: one empty selection
+@example(((4, 3), 1, 0, Element(1, 1), None, None))
+@example(((8, 7), 2, 3, Element(5, 2), 0, "text"))
+def test_enumerate_prints_what_the_library_formats(query):
+    sizes, s, k, fixed, limit, fmt = query
+    argv = ["enumerate", "--sizes", ",".join(map(str, sizes)),
+            "--s", str(s), "--k", str(k)]
+    if fixed is not None:
+        argv += ["--fixed", str(fixed)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    assert call(argv) == (0, library_output(sizes, s, k, fixed, limit, fmt), "")
+
+
+def test_enumerate_streams():
+    # a family far too large to list: its first line must come out at once
+    argv = [sys.executable, "-m", "circsep", "enumerate",
+            "--sizes", "200,200,200", "--s", "1", "--k", "10"]
+    first = ",".join(f"{p}@1" for p in range(1, 20, 2)) + "\n"
+    proc = subprocess.run(argv + ["--limit", "1"], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, first, "")
+    # without a limit, output starts long before the stream ends
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            line = proc.stdout.readline()
+        finally:
+            timer.cancel()
+            proc.kill()
+    assert line == first
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +386,79 @@ def test_closed_and_enumerate_agree_through_the_cli(capsys):
                     "--method", "enumerate")
         assert closed[0] == brute[0] == 0
         assert closed[1] == brute[1]
+
+
+def _mostly(valid, malformed):
+    """Draw from ``valid``, or from ``malformed`` when a drawn digit is 0."""
+    return st.integers(0, 9).flatmap(lambda i: malformed if i == 0 else valid)
+
+
+_BAD_NUMBERS = st.sampled_from(("-1", "x", "", "1.5", "1e2", "3,4"))
+_BAD_ELEMENTS = st.sampled_from(
+    ("@", "1@", "@1", "3", "0@1", "1@0", "1@1@1", "x@y", "9@9", "-1@1"))
+_NUMBERS = _mostly(st.integers(0, 4).map(str), _BAD_NUMBERS)
+_ELEMENTS = _mostly(st.builds("{}@{}".format, st.integers(1, 8),
+                              st.integers(1, 3)), _BAD_ELEMENTS)
+_SIZES = _mostly(
+    st.lists(st.integers(1, 8), min_size=1, max_size=3).map(
+        lambda sizes: ",".join(map(str, sizes))),
+    st.lists(st.sampled_from(("0", "-2", "a", "", " 3", "1e2")),
+             max_size=3).map(",".join))
+_FORMATS = _mostly(st.sampled_from(("text", "json")), st.just("xml"))
+_COMMANDS = {
+    "count": {
+        "--sizes": _SIZES, "--s": _NUMBERS, "--k": _NUMBERS,
+        "--fixed": _ELEMENTS, "--format": _FORMATS,
+        "--method": st.sampled_from(
+            ("closed", "recursive", "convolution", "enumerate", "nope")),
+    },
+    "enumerate": {
+        "--sizes": _SIZES, "--s": _NUMBERS, "--k": _NUMBERS,
+        "--fixed": _ELEMENTS, "--limit": _NUMBERS,
+        "--format": _FORMATS | st.just("csv"),
+    },
+    "bijection": {
+        "--sizes": _mostly(st.builds("{},{}".format, st.integers(1, 8),
+                                     st.integers(1, 8)), _SIZES),
+        "--s": _NUMBERS, "--format": _FORMATS,
+        # sometimes led by the anchor, 1@1 forward or 1 backward
+        "--set": st.tuples(
+            st.sampled_from(("", "1@1,", "1,")),
+            (st.lists(_ELEMENTS, min_size=1, max_size=3)
+             | st.lists(st.integers(0, 17).map(str), max_size=3)).map(",".join),
+        ).map("".join),
+    },
+}
+_REQUIRED = ("--sizes", "--s", "--k", "--set")
+
+
+@st.composite
+def cli_argvs(draw):
+    """Structured random argv for ``count``, ``enumerate`` and ``bijection``:
+    options mostly present and well formed, in any order.  Circles stay at
+    most 3 of at most 8 positions and k at most 4, so that every call is
+    fast; ``verify`` is left out, so no process pool starts."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    if command == "bijection":
+        argv.append(draw(_mostly(st.sampled_from(("forward", "backward")),
+                                 st.just("sideways"))))
+    options = _COMMANDS[command]
+    for flag in draw(st.permutations(sorted(options))):
+        if flag in _REQUIRED or draw(st.booleans()):
+            argv += [flag, draw(options[flag])]
+    if command == "bijection" and draw(st.booleans()):
+        argv.append("--trace")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(("--bogus", "extra", "--k"))))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argvs())
+def test_random_argv_exits_with_a_defined_code(argv):
+    # 1 means a failed verification, which none of these commands runs
+    assert call(argv)[0] in {0, 2, 3, 4}
 
 
 def test_module_entry_point():
