@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
-                   SelectionSet, SeparationParams, _require_two_circles,
-                   flatten, is_s_separated, unflatten)
+                   SelectionSet, SeparationParams, _check_bounds,
+                   _require_two_circles, flatten, is_s_separated, unflatten)
 from .counting import binomial
 from .enumeration import EnumerationRequest, enumerate_gap
 
@@ -102,22 +102,15 @@ def _flat_selection(positions) -> SelectionSet:
 
 
 def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
-                  op: str) -> int:
-    n1, n2 = _require_two_circles(system, op)
-    if s < 0:
-        raise DomainError(f"{op} requires s >= 0, got s={s}")
+                  op: str) -> None:
+    _require_two_circles(system, op)
     k = len(selection)
-    if k < 1:
-        raise DomainError(f"{op} requires a nonempty selection")
+    _check_bounds(op, s, k, fixed=1)
     for e in selection:
         system.check_element(e)
     if Element(1, 1) not in selection:
         raise DomainError(f"{op} requires the selection to contain 1@1")
-    if n1 < s * k + 1:
-        raise DomainError(f"{op} requires n_1 >= s*k+1 (got n_1={n1}, s={s}, k={k})")
-    if n2 < s * k:
-        raise DomainError(f"{op} requires n_2 >= s*k (got n_2={n2}, s={s}, k={k})")
-    return k
+    _check_bounds(op, s, k, system.sizes, fixed=1)
 
 
 def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
@@ -230,12 +223,7 @@ def forward(selection: SelectionSet, system: CircleSystem, s: int) -> tuple[int,
 def backward(positions, system: CircleSystem, s: int) -> SelectionSet:
     """Map combined-circle positions back to a two-circle selection:
     unflatten, then run ``zag``.  Inverse of ``forward``."""
-    n1, n2 = _require_two_circles(system, "backward")
     pos = sorted(set(int(p) for p in positions))
-    for p in pos:
-        if not 1 <= p <= n1 + n2:
-            raise DomainError(
-                f"backward requires positions in 1..{n1 + n2}, got {p}")
     selection = SelectionSet(tuple(unflatten(p, system) for p in pos))
     repaired, _ = zag(selection, system, s)
     return repaired
@@ -270,15 +258,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
     ``C(n_1 + n_2 - s*k - 1, k - 1)``.
     """
     n1, n2 = _require_two_circles(system, "check_bijectivity")
-    if s < 0 or k < 1:
-        raise DomainError(f"check_bijectivity requires s >= 0 and k >= 1, "
-                          f"got s={s}, k={k}")
-    if n1 < s * k + 1:
-        raise DomainError(
-            f"check_bijectivity requires n_1 >= s*k+1 (got n_1={n1}, s={s}, k={k})")
-    if n2 < s * k:
-        raise DomainError(
-            f"check_bijectivity requires n_2 >= s*k (got n_2={n2}, s={s}, k={k})")
+    _check_bounds("check_bijectivity", s, k, system.sizes, fixed=1)
     failures: list[str] = []
     domain = list(enumerate_gap(EnumerationRequest(
         system, SeparationParams(s, k), Element(1, 1))))

@@ -129,6 +129,7 @@ def _json_dump(payload) -> str:
 def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     system = CircleSystem(args.sizes)
     fixed = args.fixed
+    # the library checks k >= 1 first: at --k 0 an absent element would exit 3
     if fixed is not None and fixed not in system:
         parser.error(f"--fixed {fixed} does not exist in system {list(args.sizes)}")
     if args.method == "recursive":
@@ -161,9 +162,6 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_enumerate(args, parser: argparse.ArgumentParser) -> int:
     system = CircleSystem(args.sizes)
-    if args.fixed is not None and args.fixed not in system:
-        parser.error(f"--fixed {args.fixed} does not exist in system "
-                     f"{list(args.sizes)}")
     stream = selection_keys(EnumerationRequest(
         system, SeparationParams(args.s, args.k), args.fixed))
     if args.limit is not None:
@@ -194,19 +192,17 @@ def _parse_set(text: str, parse, parser: argparse.ArgumentParser):
 
 def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
     system = CircleSystem(args.sizes)
+    # zig and zag refuse other systems with DomainError, which would exit 3
     if system.num_circles != 2:
         parser.error("bijection requires exactly two circle sizes")
     if args.direction == "forward":
         selection = _parse_set(args.selection, parse_selection, parser)
-        for e in selection:
-            if e not in system:
-                parser.error(f"element {e} does not exist in system "
-                             f"{list(args.sizes)}")
         repaired, trace = zig(selection, system, args.s)
         out = format_flat_selection(flatten(e, system) for e in repaired)
     else:
         positions = _parse_set(args.selection, parse_flat_selection, parser)
         total = system.total
+        # unflatten refuses these with DomainError, which would exit 3
         for p in positions:
             if not 1 <= p <= total:
                 parser.error(f"position {p} outside the combined circle 1..{total}")

@@ -192,6 +192,43 @@ def is_s_separated(selection: SelectionSet, system: CircleSystem, s: int) -> boo
     return True
 
 
+def _least_size(s: int, k: int, beside_fixed: bool = False) -> int:
+    """Least circle size the closed forms admit at (s, k): ``s*k + 1``, or
+    ``s*k`` (and at least 1) on a circle beside the fixed element's."""
+    return max(1, s * k) if beside_fixed else s * k + 1
+
+
+def _check_bounds(op: str, s: int, k: int, sizes=(), fixed: int | None = None,
+                  names=None, hint: str = "") -> None:
+    """Raise :class:`DomainError` naming the first closed-form bound violated:
+    ``s >= 0``, ``k >= 0`` (``k >= 1`` when ``fixed``, the fixed element's
+    circle, is given), then ``_least_size`` on each of ``sizes``, labelled by
+    ``names`` (``n_1 .. n_p`` when None) and followed by ``hint``.  Callers
+    that check membership in between call it first without ``sizes``.
+    """
+    if s < 0:
+        raise DomainError(f"{op} requires s >= 0, got s={s}")
+    if fixed is None and k < 0:
+        raise DomainError(f"{op} requires k >= 0, got k={k}")
+    if fixed is not None and k < 1:
+        raise DomainError(f"{op} requires k >= 1 (a nonempty selection), got k={k}")
+    if not sizes or min(sizes) >= _least_size(s, k):
+        return  # the common case, in one comparison
+    for circle, n in enumerate(sizes, 1):
+        beside = fixed is not None and circle != fixed
+        if n >= _least_size(s, k, beside):
+            continue
+        name = names[circle - 1] if names else f"n_{circle}"
+        if fixed is None:
+            bound = "every circle size >= s*k+1"
+        elif beside:
+            bound = f"{name} >= s*k on circles without the fixed element"
+        else:
+            bound = f"{name} >= s*k+1 on the fixed element's circle"
+        raise DomainError(
+            f"{op} requires {bound} (got {name}={n}, s={s}, k={k}){hint}")
+
+
 def _require_two_circles(system: CircleSystem, op: str) -> tuple[int, int]:
     if system.num_circles != 2:
         raise DomainError(
@@ -214,7 +251,7 @@ def unflatten(i: int, system: CircleSystem) -> Element:
     """
     n1, n2 = _require_two_circles(system, "unflatten")
     if not 1 <= i <= n1 + n2:
-        raise DomainError(f"unflatten requires 1 <= i <= {n1 + n2}, got {i}")
+        raise DomainError(f"unflatten requires positions in 1..{n1 + n2}, got {i}")
     return Element(i, 1) if i <= n1 else Element(i - n1, 2)
 
 

@@ -8,13 +8,15 @@ Let ``N`` be the total number of objects in a system with circle sizes
 * p circles, element fixed:    ``C(N - s*k - 1, k - 1)``
 * p circles, free:             ``N / k * C(N - s*k - 1, k - 1)``
 
-Each closed form carries a size precondition (the fixed element's circle needs
-``n >= s*k + 1``; in the fixed-count case the other circles only need
-``n >= s*k``; the free multi-circle count needs every circle ``>= s*k + 1``).
-Out-of-precondition parameters raise :class:`DomainError` - use
-``count_by_enumeration`` there instead, which is exact everywhere.  The two
-rational-looking forms are evaluated numerator first and divided last; the
-division is asserted exact, so a failed divisibility can never round silently.
+Each closed form holds on one domain, written once in ``core._check_bounds``:
+``s >= 0``, ``k >= 0`` (``k >= 1`` with a fixed element), size ``>= s*k + 1``
+on the fixed element's circle or, with nothing fixed, on every circle, and
+size ``>= s*k`` on the circles beside a fixed element.  Every count here calls
+it first, so out-of-domain parameters raise :class:`DomainError` naming the
+first violated bound - use ``count_by_enumeration`` there instead, which is
+exact everywhere.  The two rational-looking forms are evaluated numerator
+first and divided last; the division is asserted exact, so a failed
+divisibility can never round silently.
 
 ``count_system_convolution`` and ``count_system_fixed_recursive`` recompute
 the free and the fixed count from single-circle counts alone: coefficient j
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import CircleSystem, DomainError, Element, InvariantViolation
+from .core import CircleSystem, Element, InvariantViolation, _check_bounds
 
 
 def binomial(n: int, k: int) -> int:
@@ -46,27 +48,15 @@ def _exact_div(numerator: int, denominator: int, context: str) -> int:
     return quotient
 
 
-def _check_sk(s: int, k: int) -> None:
-    if s < 0:
-        raise DomainError(f"requires s >= 0, got s={s}")
-    if k < 0:
-        raise DomainError(f"requires k >= 0, got k={k}")
+_HINT = "; use count_by_enumeration instead"
 
 
 def count_circle(n: int, s: int, k: int) -> int:
     """s-separated k-subsets of one circle of size n.
 
-    Exact for k = 0 (one empty set) and for n >= s*k + 1.
+    Exact for n >= s*k + 1 (so for k = 0, one empty set, on any circle).
     """
-    _check_sk(s, k)
-    if n < 1:
-        raise DomainError(f"requires n >= 1, got n={n}")
-    if k == 0:
-        return 1
-    if n < s * k + 1:
-        raise DomainError(
-            f"count_circle requires n >= s*k+1 (got n={n}, s={s}, k={k}); "
-            "use count_by_enumeration for smaller circles")
+    _check_bounds("count_circle", s, k, (n,), names=("n",), hint=_HINT)
     return _exact_div(n * binomial(n - s * k, k), n - s * k, "count_circle")
 
 
@@ -76,30 +66,9 @@ def count_circle_fixed(n: int, s: int, k: int) -> int:
     Requires k >= 1 and n >= s*k + 1.  The count does not depend on which
     element is fixed (rotation symmetry).
     """
-    _check_sk(s, k)
-    if k < 1:
-        raise DomainError(f"count_circle_fixed requires k >= 1, got k={k}")
-    if n < s * k + 1:
-        raise DomainError(
-            f"count_circle_fixed requires n >= s*k+1 (got n={n}, s={s}, k={k}); "
-            "use count_by_enumeration for smaller circles")
+    _check_bounds("count_circle_fixed", s, k, (n,), fixed=1, names=("n",),
+                  hint=_HINT)
     return binomial(n - k * s - 1, k - 1)
-
-
-def _check_fixed_system(system: CircleSystem, s: int, k: int, fixed: Element) -> None:
-    system.check_element(fixed)
-    for circle, n in enumerate(system.sizes, 1):
-        if circle == fixed.circle:
-            if n < s * k + 1:
-                raise DomainError(
-                    f"requires n_{circle} >= s*k+1 on the fixed element's circle "
-                    f"(got n_{circle}={n}, s={s}, k={k}); "
-                    "use count_by_enumeration instead")
-        elif n < s * k:
-            raise DomainError(
-                f"requires n_{circle} >= s*k on circles without the fixed element "
-                f"(got n_{circle}={n}, s={s}, k={k}); "
-                "use count_by_enumeration instead")
 
 
 def count_system_fixed(system: CircleSystem, s: int, k: int, fixed: Element) -> int:
@@ -109,10 +78,10 @@ def count_system_fixed(system: CircleSystem, s: int, k: int, fixed: Element) -> 
     size >= s*k on every other circle.  Equals ``C(N - s*k - 1, k - 1)``
     independent of which qualifying element is fixed.
     """
-    _check_sk(s, k)
-    if k < 1:
-        raise DomainError(f"count_system_fixed requires k >= 1, got k={k}")
-    _check_fixed_system(system, s, k, fixed)
+    _check_bounds("count_system_fixed", s, k, fixed=fixed.circle)
+    system.check_element(fixed)
+    _check_bounds("count_system_fixed", s, k, system.sizes, fixed.circle,
+                  hint=_HINT)
     return binomial(system.total - s * k - 1, k - 1)
 
 
@@ -121,15 +90,9 @@ def count_system(system: CircleSystem, s: int, k: int) -> int:
 
     Exact for k = 0 and whenever every circle has size >= s*k + 1.
     """
-    _check_sk(s, k)
+    _check_bounds("count_system", s, k, system.sizes, hint=_HINT)
     if k == 0:
         return 1
-    for circle, n in enumerate(system.sizes, 1):
-        if n < s * k + 1:
-            raise DomainError(
-                f"count_system requires every circle size >= s*k+1 "
-                f"(got n_{circle}={n}, s={s}, k={k}); "
-                "use count_by_enumeration instead")
     total = system.total
     return _exact_div(total * binomial(total - s * k - 1, k - 1), k, "count_system")
 
@@ -154,10 +117,8 @@ def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
     the fixed element leaves room for at most k - 1 there).  Preconditions
     match ``count_system_fixed`` with ``fixed = 1@1``.
     """
-    _check_sk(s, k)
-    if k < 1:
-        raise DomainError(f"count_system_fixed_recursive requires k >= 1, got k={k}")
-    _check_fixed_system(system, s, k, Element(1, 1))
+    _check_bounds("count_system_fixed_recursive", s, k, system.sizes, fixed=1,
+                  hint=_HINT)
     first, *rest = system.sizes
     factors = [[0] + [count_circle_fixed(first, s, j) for j in range(1, k + 1)]]
     factors += [[count_circle(n, s, j) for j in range(k)] + [0] for n in rest]
@@ -169,12 +130,6 @@ def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
     factor per circle.  Requires every circle size >= s*k + 1 (so that each
     single-circle factor is in its exact range); k = 0 gives 1.
     """
-    _check_sk(s, k)
-    for circle, n in enumerate(system.sizes, 1):
-        if k >= 1 and n < s * k + 1:
-            raise DomainError(
-                f"count_system_convolution requires every circle size >= s*k+1 "
-                f"(got n_{circle}={n}, s={s}, k={k}); "
-                "use count_by_enumeration instead")
+    _check_bounds("count_system_convolution", s, k, system.sizes, hint=_HINT)
     return _spread([[count_circle(n, s, j) for j in range(k + 1)]
                     for n in system.sizes], k)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bijection import check_bijectivity
-from .core import CircleSystem, DomainError, Element, SeparationParams
+from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
+                   _least_size)
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
@@ -90,16 +91,7 @@ def verify_fixed_sum_identity(m: int, n: int, s: int, k: int) -> IdentityReport:
     ``n >= s*k + 1`` and ``m >= s*k`` (with k >= 1).
     """
     params = {"m": m, "n": n, "s": s, "k": k}
-    if k < 1 or s < 0:
-        raise DomainError(f"fixed-sum identity requires k >= 1 and s >= 0, "
-                          f"got s={s}, k={k}")
-    if n < s * k + 1:
-        raise DomainError(
-            f"fixed-sum identity requires n >= s*k+1 on the fixed element's "
-            f"circle (got n={n}, s={s}, k={k})")
-    if m < max(1, s * k):
-        raise DomainError(
-            f"fixed-sum identity requires m >= s*k (got m={m}, s={s}, k={k})")
+    _check_bounds("fixed-sum identity", s, k, (n, m), fixed=1, names=("n", "m"))
     left = sum(
         binomial(n - s * (k - j) - 1, k - j - 1) * count_circle(m, s, j)
         for j in range(k))
@@ -113,13 +105,12 @@ def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
     Uses ``(m / (m - s*j)) * C(m - s*j, j - 1)`` as the second factor; the
     exponent ``j - 1`` makes the factor stop counting j-subsets, and the sum
     generally misses the right-hand side (often it is not even an integer).
-    Evaluated in exact rational arithmetic and reported as-is.
+    Evaluated on the corrected identity's domain, in exact rational
+    arithmetic, and reported as-is.
     """
     params = {"m": m, "n": n, "s": s, "k": k}
-    if k < 1 or s < 0 or n < s * k + 1 or m < max(1, s * k):
-        raise DomainError(
-            f"printed variant evaluated on the corrected identity's domain; "
-            f"got m={m}, n={n}, s={s}, k={k}")
+    _check_bounds("printed fixed-sum variant", s, k, (n, m), fixed=1,
+                  names=("n", "m"))
     total = Fraction(0)
     bad_term = ""
     for j in range(k):
@@ -157,7 +148,7 @@ def _sk_grid(grid: SweepGrid):
 
 def _gen_circle(grid: SweepGrid, check: str):
     for s, k in _sk_grid(grid):
-        lo = s * k + 1
+        lo = _least_size(s, k)
         if lo > grid.max_size:
             yield check, {"s": s, "k": k}, \
                 f"no circle size in [{lo}, {grid.max_size}]"
@@ -166,11 +157,11 @@ def _gen_circle(grid: SweepGrid, check: str):
             yield check, {"n": n, "s": s, "k": k}, None
 
 
-def _gen_systems(grid: SweepGrid, check: str, lo_offset: int):
-    """Multiset size tuples for p in {2, 3}; lo_offset 1 means sizes from
-    s*k+1, lo_offset 0 means sizes from s*k."""
+def _gen_systems(grid: SweepGrid, check: str, beside_fixed: bool):
+    """Multiset size tuples for p in {2, 3}, every size at least the least one
+    admitted free or (``beside_fixed``) beside a fixed element."""
     for s, k in _sk_grid(grid):
-        lo = max(1, s * k + lo_offset)
+        lo = _least_size(s, k, beside_fixed)
         for p in (2, 3):
             if lo > grid.max_size:
                 yield check, {"p": p, "s": s, "k": k}, \
@@ -183,7 +174,7 @@ def _gen_systems(grid: SweepGrid, check: str, lo_offset: int):
 
 def _gen_recursion(grid: SweepGrid, check: str):
     for s, k in _sk_grid(grid):
-        first_lo, rest_lo = s * k + 1, max(1, s * k)
+        first_lo, rest_lo = _least_size(s, k), _least_size(s, k, True)
         for p in (2, 3):
             if first_lo > grid.max_size:
                 yield check, {"p": p, "s": s, "k": k}, \
@@ -195,11 +186,11 @@ def _gen_recursion(grid: SweepGrid, check: str):
                     yield check, {"sizes": (n1, *tail), "s": s, "k": k}, None
 
 
-def _gen_pairs(grid: SweepGrid, check: str, second_lo_offset: int,
+def _gen_pairs(grid: SweepGrid, check: str, second_beside_fixed: bool,
                keys: tuple[str, str]):
     first, second = keys
     for s, k in _sk_grid(grid):
-        lo1, lo2 = s * k + 1, max(1, s * k + second_lo_offset)
+        lo1, lo2 = _least_size(s, k), _least_size(s, k, second_beside_fixed)
         if lo1 > grid.max_size or lo2 > grid.max_size:
             yield check, {"s": s, "k": k}, \
                 f"no size pair in [{lo1}, {grid.max_size}] x [{lo2}, {grid.max_size}]"
@@ -264,10 +255,10 @@ def _eval_system(params: dict) -> IdentityReport:
 def _eval_system_fixed(params: dict) -> IdentityReport:
     sizes, s, k = params["sizes"], params["s"], params["k"]
     system = CircleSystem(tuple(sizes))
-    qualifying = [c for c, n in enumerate(sizes, 1) if n >= s * k + 1]
+    lo = _least_size(s, k)
+    qualifying = [c for c, n in enumerate(sizes, 1) if n >= lo]
     if not qualifying:
-        return _skipped("system-fixed", params,
-                        f"no circle reaches s*k+1 = {s * k + 1}")
+        return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
     buckets = _element_buckets(sizes, s, k)
     closed = None
     for c in qualifying:
@@ -342,21 +333,21 @@ _CHECKS = {
     # fixed-element count vs enumeration, every rotation
     "circle-fixed": (_gen_circle, (), _eval_circle_fixed),
     # closed multi-circle count vs enumeration
-    "system": (_gen_systems, (1,), _eval_system),
+    "system": (_gen_systems, (False,), _eval_system),
     # fixed-element system count vs enumeration, every element
-    "system-fixed": (_gen_systems, (0,), _eval_system_fixed),
+    "system-fixed": (_gen_systems, (True,), _eval_system_fixed),
     # one-circle-at-a-time recomputation vs direct fixed count
     "recursion": (_gen_recursion, (), _eval_recursion),
     # polynomial product of single-circle counts vs direct free count
-    "convolution": (_gen_pairs, (1, ("n1", "n2")), _eval_convolution),
+    "convolution": (_gen_pairs, (False, ("n1", "n2")), _eval_convolution),
     # two-circle fixed-element sum identity (corrected)
-    "fixed-sum": (_gen_pairs, (0, ("n", "m")), _eval_fixed_sum),
+    "fixed-sum": (_gen_pairs, (True, ("n", "m")), _eval_fixed_sum),
     # the misprinted variant, reported for documentation
-    "fixed-sum-printed": (_gen_pairs, (0, ("n", "m")), _eval_fixed_sum_printed),
+    "fixed-sum-printed": (_gen_pairs, (True, ("n", "m")), _eval_fixed_sum_printed),
     # exhaustive forward/backward round trip per point
-    "bijection": (_gen_pairs, (0, ("n1", "n2")), _eval_bijection),
+    "bijection": (_gen_pairs, (True, ("n1", "n2")), _eval_bijection),
     # k * free count == N * fixed count
-    "double-count": (_gen_systems, (1,), _eval_double_count),
+    "double-count": (_gen_systems, (False,), _eval_double_count),
     # the divisors in the closed forms divide exactly
     "divisibility": (_gen_circle, (), _eval_divisibility),
 }

@@ -214,3 +214,8 @@ def test_check_bijectivity_domain_errors():
         check_bijectivity(SYS43, 1, 0)
     with pytest.raises(DomainError):
         check_bijectivity(CircleSystem((5, 5, 5)), 1, 2)
+    # either side of n_1 >= s*k+1 and n_2 >= s*k at s = 1, k = 2
+    for sizes in ((2, 2), (3, 1)):
+        with pytest.raises(DomainError):
+            check_bijectivity(CircleSystem(sizes), 1, 2)
+    assert check_bijectivity(CircleSystem((3, 2)), 1, 2).passed

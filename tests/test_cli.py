@@ -304,6 +304,22 @@ def test_bijection_domain_errors(capsys):
     assert "1@1" in err
 
 
+@pytest.mark.parametrize("argv, rc", [
+    ("count --sizes 4,3 --s 1 --k 0 --fixed 9@1", 2),
+    ("count --sizes 4,3 --s 1 --k 0 --fixed 1@1", 3),
+    ("enumerate --sizes 4,3 --s 1 --k 0 --fixed 9@1", 2),
+    ("bijection forward --sizes 3,4 --s 1 --set 1@1,3@1,9@2", 2),
+    ("bijection forward --sizes 3,4 --s 1 --set 1@1,3@1,2@2", 3),
+    ("bijection backward --sizes 4,3 --s 1 --set 1,9", 2),
+])
+def test_first_failing_precondition_sets_the_exit_code(capsys, argv, rc):
+    # an absent element or position is a usage error (2) even where a bound
+    # on k or on a circle size also fails; a bound alone exits 3
+    got, out, err = run(capsys, *argv.split())
+    assert (got, out) == (rc, "")
+    assert "error: " in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from circsep.bijection import zag, zig
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, circular_distance, flatten,
                           format_flat_selection, is_s_separated, parse_element,
                           parse_flat_selection, parse_selection, unflatten)
+from circsep.counting import count_system_fixed
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +264,28 @@ def test_parse_flat_selection():
 def test_format_flat_selection():
     assert format_flat_selection((4, 1)) == "1,4"
     assert format_flat_selection(()) == ""
+
+
+# ---------------------------------------------------------------------------
+# the order of the precondition checks: s and k, then membership, then the
+# 1@1 anchor, then circle sizes; the first failing one sets the exception
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: count_system_fixed(CircleSystem((7, 7)), -1, 2, Element(9, 1)),
+     DomainError),
+    (lambda: count_system_fixed(CircleSystem((7, 7)), 1, 0, Element(9, 1)),
+     DomainError),
+    (lambda: count_system_fixed(CircleSystem((4, 9)), 2, 2, Element(9, 1)),
+     ValueError),
+    (lambda: zig(parse_selection("1@1,3@1,9@2"), CircleSystem((3, 4)), 1),
+     ValueError),
+    (lambda: zag(parse_selection("1@1,3@1,9@2"), CircleSystem((3, 4)), 1),
+     ValueError),
+    (lambda: zig(parse_selection("1@1,9@2"), CircleSystem((3, 4)), -1),
+     DomainError),
+])
+def test_first_failing_precondition_sets_the_exception(call, expected):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is expected

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circsep.core import (CircleSystem, Element, SelectionSet, SeparationParams,
-                          is_s_separated)
-from circsep.counting import (count_system, count_system_convolution,
-                              count_system_fixed)
+from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
+                          SeparationParams, is_s_separated)
+from circsep.counting import (count_circle, count_circle_fixed, count_system,
+                              count_system_convolution, count_system_fixed,
+                              count_system_fixed_recursive)
 from circsep.enumeration import (EnumerationRequest, count_by_enumeration,
                                  enumerate_gap, enumerate_naive)
 
@@ -155,13 +156,28 @@ def test_gap_search_properties(req):
         assert len(sel) == k and is_s_separated(sel, system, s)
         assert fixed is None or fixed in sel
     assert len(sels) == count_by_enumeration(req)
-    if fixed is None and all(n >= s * k + 1 for n in system.sizes):
-        assert len(sels) == count_system(system, s, k) \
-            == count_system_convolution(system, s, k)
-    if fixed is not None and k >= 1 and all(
-            n >= s * k + (c == fixed.circle)
-            for c, n in enumerate(system.sizes, 1)):
-        assert len(sels) == count_system_fixed(system, s, k, fixed)
+    # the closed forms that fit the request, and the paper's bounds on them
+    sizes = system.sizes
+    if fixed is None:
+        closed = [lambda: count_system(system, s, k),
+                  lambda: count_system_convolution(system, s, k)]
+        if len(sizes) == 1:
+            closed.append(lambda: count_circle(sizes[0], s, k))
+        admissible = all(n >= s * k + 1 for n in sizes)
+    else:
+        closed = [lambda: count_system_fixed(system, s, k, fixed)]
+        if fixed == Element(1, 1):
+            closed.append(lambda: count_system_fixed_recursive(system, s, k))
+        if len(sizes) == 1:
+            closed.append(lambda: count_circle_fixed(sizes[0], s, k))
+        admissible = k >= 1 and all(n >= s * k + (c == fixed.circle)
+                                    for c, n in enumerate(sizes, 1))
+    for count in closed:
+        if admissible:
+            assert count() == len(sels)
+        else:
+            with pytest.raises(DomainError):
+                count()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ def test_fixed_sum_identity_preconditions():
         verify_fixed_sum_identity(1, 5, 2, 2)
     with pytest.raises(DomainError):
         verify_fixed_sum_identity(4, 4, 1, 0)
+    assert verify_fixed_sum_identity(4, 5, 2, 2).passed  # m = s*k, n = s*k+1
 
 
 def test_fixed_sum_printed_variant_fails_at_pinned_point():
