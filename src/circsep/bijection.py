@@ -38,7 +38,7 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, _check_bounds,
                    _require_two_circles, flatten, is_s_separated, unflatten)
 from .counting import binomial
-from .enumeration import EnumerationRequest, enumerate_gap
+from .enumeration import EnumerationRequest, selection_keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +113,23 @@ def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
     _check_bounds(op, s, k, system.sizes, fixed=1)
 
 
-def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
-                  direction: str) -> tuple[SelectionSet, ZigZagTrace]:
-    """Shared switch loop.  ``zig`` opens its windows on circle 2 at even
-    steps, ``zag`` on circle 1; everything else is identical."""
-    n1, n2 = system.sizes
+def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
+                  s: int, direction: str) -> tuple[SwitchStep, ...]:
+    """Run one switch chain in place on ``{circle: set of positions}`` and
+    return its steps.  ``zig`` opens its windows on circle 2 at even steps,
+    ``zag`` on circle 1; everything else is identical.  The input is not
+    validated here: callers pass selections that meet zig's or zag's
+    preconditions."""
+    n1, n2 = sizes
     even_window_circle = 2 if direction == "zig" else 1
-    positions = {1: set(selection.positions_in(1)), 2: set(selection.positions_in(2))}
-    original = {(e.position, e.circle) for e in selection}
+    original = {(p, c) for c in (1, 2) for p in positions[c]}
     removed_pairs: set[tuple[int, int]] = set()
     # phantom seeds one past the top of each circle
     if direction == "zig":
         last_removed, last_added = n1 + 1, n2 + 1
     else:
         last_removed, last_added = n2 + 1, n1 + 1
-    k = len(selection)
+    k = len(original)
     steps: list[SwitchStep] = []
     while True:
         i = len(steps)
@@ -158,7 +160,7 @@ def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
                 f"{direction}: removed {removed}@{window_circle} twice")
         if (removed, window_circle) == (1, 1):
             raise InvariantViolation(f"{direction}: attempted to remove the anchor 1@1")
-        if not 1 <= added <= system.sizes[other_circle - 1]:
+        if not 1 <= added <= sizes[other_circle - 1]:
             raise InvariantViolation(
                 f"{direction}: insertion position {added} outside circle {other_circle}")
         if added in positions[other_circle]:
@@ -176,8 +178,15 @@ def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
                 f"{direction}: executed {len(steps)} switches on a size-{k} "
                 "selection, expected at most k-1")
         last_removed, last_added = removed, added
+    return tuple(steps)
+
+
+def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
+                  direction: str) -> tuple[SelectionSet, ZigZagTrace]:
+    positions = {1: set(selection.positions_in(1)), 2: set(selection.positions_in(2))}
+    steps = _switch_chain(positions, system.sizes, s, direction)
     result = SelectionSet(tuple(Element(p, c) for c in (1, 2) for p in positions[c]))
-    return result, ZigZagTrace(direction, tuple(steps))
+    return result, ZigZagTrace(direction, steps)
 
 
 def zig(selection: SelectionSet, system: CircleSystem, s: int
@@ -246,6 +255,16 @@ class BijectivityReport:
         return not self.failures
 
 
+def _format(pairs) -> str:
+    """Increasing (circle, position) pairs as ``str(SelectionSet)`` writes
+    them."""
+    return ",".join(f"{p}@{c}" for c, p in pairs)
+
+
+def _pairs(positions: dict[int, set[int]]) -> tuple[tuple[int, int], ...]:
+    return tuple((c, p) for c in (1, 2) for p in sorted(positions[c]))
+
+
 def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport:
     """Exhaustively verify the bijection at one parameter point.
 
@@ -256,48 +275,65 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
     switches in both directions with mirrored steps, and is a bijection onto
     the codomain; and compares both sizes against the closed form
     ``C(n_1 + n_2 - s*k - 1, k - 1)``.
+
+    Each domain selection runs one zig chain and one zag chain, on raw
+    position sets, without zig's and zag's input checks: a domain selection
+    is s-separated and holds 1@1 by construction, and an image is pulled
+    back only after it is found in the codomain, which is exactly zag's
+    precondition.  The structural checks inside the chain still run.  The
+    round trip ``forward(backward(y)) == y`` then needs no second pass for a
+    codomain set y that some domain selection x maps to: ``backward(y) = x``
+    was checked, so ``forward(backward(y)) = forward(x) = y``.  Only the
+    codomain sets that ``forward`` missed go through the public
+    ``backward`` and ``forward``.
     """
     n1, n2 = _require_two_circles(system, "check_bijectivity")
     _check_bounds("check_bijectivity", s, k, system.sizes, fixed=1)
     failures: list[str] = []
-    domain = list(enumerate_gap(EnumerationRequest(
-        system, SeparationParams(s, k), Element(1, 1))))
+    params = SeparationParams(s, k)
+    domain = list(selection_keys(EnumerationRequest(system, params, Element(1, 1))))
     combined = CircleSystem((n1 + n2,))
-    codomain = list(enumerate_gap(EnumerationRequest(
-        combined, SeparationParams(s, k), Element(1, 1))))
-    codomain_keys = {tuple(e.position for e in sel) for sel in codomain}
+    codomain = [tuple(p for _, p in pairs) for pairs in selection_keys(
+        EnumerationRequest(combined, params, Element(1, 1)))]
+    codomain_keys = set(codomain)
     expected = binomial(n1 + n2 - s * k - 1, k - 1)
 
     images = set()
-    for sel in domain:
+    for pairs in domain:
+        positions = {1: {p for c, p in pairs if c == 1},
+                     2: {p for c, p in pairs if c == 2}}
         try:
-            zigged, ztrace = zig(sel, system, s)
-        except (DomainError, InvariantViolation) as exc:
-            failures.append(f"zig({sel}) raised: {exc}")
+            zsteps = _switch_chain(positions, system.sizes, s, "zig")
+        except InvariantViolation as exc:
+            failures.append(f"zig({_format(pairs)}) raised: {exc}")
             continue
-        image = tuple(sorted(flatten(e, system) for e in zigged))
+        image = (*sorted(positions[1]), *(n1 + p for p in sorted(positions[2])))
         if image not in codomain_keys:
-            failures.append(f"forward({sel}) = {image} is not in the codomain")
+            failures.append(
+                f"forward({_format(pairs)}) = {image} is not in the codomain")
             continue
         images.add(image)
-        unflat = SelectionSet(tuple(unflatten(p, system) for p in image))
+        # ``positions`` now holds unflatten(image), zag's input
         try:
-            back, gtrace = zag(unflat, system, s)
-        except (DomainError, InvariantViolation) as exc:
+            gsteps = _switch_chain(positions, system.sizes, s, "zag")
+        except InvariantViolation as exc:
+            unflat = _format(unflatten(p, system).key for p in image)
             failures.append(f"zag({unflat}) raised: {exc}")
             continue
-        if back != sel:
-            failures.append(f"backward(forward({sel})) = {back}, expected {sel}")
-        if ztrace.order != gtrace.order:
+        back = _pairs(positions)
+        if back != pairs:
+            failures.append(f"backward(forward({_format(pairs)})) = "
+                            f"{_format(back)}, expected {_format(pairs)}")
+        if len(zsteps) != len(gsteps):
             failures.append(
-                f"switch counts differ on {sel}: zig {ztrace.order}, "
-                f"zag {gtrace.order}")
+                f"switch counts differ on {_format(pairs)}: zig {len(zsteps)}, "
+                f"zag {len(gsteps)}")
         else:
-            for zstep, gstep in zip(ztrace.steps, gtrace.steps):
+            for zstep, gstep in zip(zsteps, gsteps):
                 if (gstep.removed, gstep.gap, gstep.added) != (
                         zstep.added, zstep.gap, zstep.removed):
-                    failures.append(
-                        f"steps not mirrored on {sel} at switch {zstep.index}")
+                    failures.append(f"steps not mirrored on {_format(pairs)} "
+                                    f"at switch {zstep.index}")
                     break
     if len(images) != len(domain):
         failures.append(
@@ -308,8 +344,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
         failures.append(
             f"forward is not surjective: {len(missing)} codomain sets missed, "
             f"e.g. {sorted(missing)[0]}")
-    for sel in codomain:
-        flat = tuple(e.position for e in sel)
+    for flat in sorted(missing):  # the codomain's own order
         try:
             back = backward(flat, system, s)
             again = forward(back, system, s)

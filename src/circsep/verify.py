@@ -221,11 +221,8 @@ def _oracle_count(sizes, s, k, fixed=None) -> int:
 def _element_buckets(sizes, s, k) -> Counter:
     """Per-element membership counts over all s-separated k-selections,
     keyed by (circle, position)."""
-    buckets: Counter = Counter()
-    for pairs in selection_keys(EnumerationRequest(
-            CircleSystem(tuple(sizes)), SeparationParams(s, k))):
-        buckets.update(pairs)
-    return buckets
+    return Counter(itertools.chain.from_iterable(selection_keys(
+        EnumerationRequest(CircleSystem(tuple(sizes)), SeparationParams(s, k)))))
 
 
 def _eval_circle(params: dict) -> IdentityReport:
@@ -260,10 +257,10 @@ def _eval_system_fixed(params: dict) -> IdentityReport:
     if not qualifying:
         return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
     buckets = _element_buckets(sizes, s, k)
-    closed = None
     for c in qualifying:
+        # the closed form is the same for every element of circle c
+        closed = count_system_fixed(system, s, k, Element(1, c))
         for a in range(1, sizes[c - 1] + 1):
-            closed = count_system_fixed(system, s, k, Element(a, c))
             got = buckets[c, a]
             if got != closed:
                 return _report("system-fixed", params, closed, got,

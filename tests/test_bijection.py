@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as st
 
+from circsep import bijection
 from circsep.bijection import (BijectivityReport, SwitchStep, backward,
                                check_bijectivity, forward, zag, zig)
 from circsep.core import (CircleSystem, DomainError, Element,
@@ -205,6 +208,69 @@ def test_check_bijectivity_larger_point():
     report = check_bijectivity(CircleSystem((7, 6)), 2, 2)
     assert report.passed
     assert report.domain_size == report.expected_size == 8
+
+
+@pytest.mark.parametrize("corruption", ["wrong set", "dropped step"])
+def test_check_bijectivity_catches_a_broken_zag(monkeypatch, corruption):
+    chain = bijection._switch_chain
+    chosen = ((1, 1), (2, 6))  # 1@1,6@2: zig and zag each switch once
+
+    def broken(positions, sizes, s, direction):
+        steps = chain(positions, sizes, s, direction)
+        if direction == "zag" and bijection._pairs(positions) == chosen:
+            if corruption == "wrong set":
+                positions[2] = {5}
+            else:
+                steps = steps[:-1]
+        return steps
+
+    monkeypatch.setattr(bijection, "_switch_chain", broken)
+    report = check_bijectivity(CircleSystem((7, 6)), 2, 2)
+    assert not report.passed
+    expected = ("backward(forward(1@1,6@2)) = 1@1,5@2, expected 1@1,6@2"
+                if corruption == "wrong set" else
+                "switch counts differ on 1@1,6@2: zig 1, zag 0")
+    assert expected in report.failures
+
+
+@st.composite
+def anchored_points(draw):
+    """Two circles of up to 120 positions with s <= 3 and k inside the
+    bijection's bounds, and an s-separated k-subset of the combined circle
+    through position 1.  Gaps are often the least allowed, so that runs of
+    close elements make long switch chains."""
+    s = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 119 // max(s, 1)))
+    n1 = draw(st.integers(s * k + 1, 120))
+    n2 = draw(st.integers(max(1, s * k), 120))
+    extra = n1 + n2 - k * (s + 1)  # room beyond the least gaps
+    assume(extra >= 0)
+    positions = [1]
+    for _ in range(k - 1):
+        slack = min(extra, draw(st.one_of(st.integers(0, 1),
+                                          st.integers(0, extra))))
+        extra -= slack
+        positions.append(positions[-1] + s + 1 + slack)
+    return CircleSystem((n1, n2)), s, tuple(positions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(anchored_points())
+def test_round_trip_past_the_exhaustive_range(point):
+    system, s, flat = point
+    k = len(flat)
+    assert is_s_separated(SelectionSet(tuple(Element(p, 1) for p in flat)),
+                          CircleSystem((system.total,)), s)
+    back = backward(flat, system, s)
+    assert forward(back, system, s) == flat
+    _, ztrace = zig(back, system, s)
+    _, gtrace = zag(SelectionSet(tuple(unflatten(p, system) for p in flat)),
+                    system, s)
+    target(float(ztrace.order))  # steer the search toward long chains
+    assert ztrace.order == gtrace.order <= k - 1
+    for zstep, gstep in zip(ztrace.steps, gtrace.steps):
+        assert (gstep.removed, gstep.gap, gstep.added) == \
+            (zstep.added, zstep.gap, zstep.removed)
 
 
 def test_check_bijectivity_domain_errors():

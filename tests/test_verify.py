@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from circsep import verify
 from circsep.core import DomainError
 from circsep.verify import (CHECKS, DOCUMENTATION_CHECKS, IdentityReport,
                             SweepGrid, evaluate_point, grid_points,
@@ -90,6 +92,19 @@ def test_evaluate_point_passes_skip_reason_through():
     assert report.skipped
     assert report.reason == "out of range"
     assert not report.passed
+
+
+def test_system_fixed_names_the_circle_whose_closed_form_is_wrong(monkeypatch):
+    count_system_fixed = verify.count_system_fixed
+
+    def off_on_circle_2(system, s, k, fixed):
+        return count_system_fixed(system, s, k, fixed) + (fixed.circle == 2)
+
+    monkeypatch.setattr(verify, "count_system_fixed", off_on_circle_2)
+    report = evaluate_point(("system-fixed", {"sizes": (5, 5), "s": 1, "k": 2},
+                             None))
+    assert not report.passed
+    assert report.counterexample.startswith("fixed=1@2: ")
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +196,17 @@ def test_job_count_does_not_change_reports():
     grid1 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=1)
     grid3 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=3)
     assert to_json_lines(verify_all(grid1)) == to_json_lines(verify_all(grid3))
+
+
+# ---------------------------------------------------------------------------
+# the bytes of the default sweep
+
+
+def test_default_sweep_bytes_are_pinned():
+    reports = verify_all(SweepGrid())
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (render_table(reports), to_json_lines(reports))]
+    assert digests == [
+        "aaf5ff6d8d0d7dc5e31f8c1a6f292c87f265c7b242cd78e2489e395c3ee901a9",
+        "e5473a636a42a27fefafc06293a2e5211815426af46e013c1e58f69b6df0374b",
+    ]
