@@ -89,20 +89,6 @@ def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
             yield (c, q), q
 
 
-def _fixed_pick(sizes, gap: int, last: tuple[int, int], first: int,
-                pair: tuple[int, int]):
-    """Candidates for the last pick while ``pair``, the fixed element, is
-    still pending: only ``pair`` can complete the selection, and it does when
-    it lies on a later circle than ``last`` or on the same circle at least
-    ``gap`` after it and within the wrap-around bound."""
-    c0, q0 = last
-    c, q = pair
-    if c > c0:
-        yield pair, q
-    elif c == c0 and q0 + gap <= q <= first + sizes[c0 - 1] - gap:
-        yield pair, first
-
-
 def selection_keys(request: EnumerationRequest):
     """Yield the selections of ``request`` as increasing tuples of (circle,
     position) pairs, the same sets in the same order as ``enumerate_gap``,
@@ -116,7 +102,7 @@ def selection_keys(request: EnumerationRequest):
     wrap-around bound back to the circle's first pick; every other pair is
     then farther apart.  A circle of size n holds at most ``max(1, n // (s+1))``
     picks.  Until ``fixed`` is taken, the first candidate past it ends its
-    depth, and a last depth opened below it tries ``fixed`` alone.
+    depth.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -144,11 +130,7 @@ def selection_keys(request: EnumerationRequest):
         if pair == pending:
             pending = None
         if len(path) < k:
-            if pending is not None and len(path) == k - 1:
-                stack.append(_fixed_pick(sizes, gap, pair, first, pending))
-            else:
-                stack.append(_picks(sizes, gap, after, pair, first,
-                                    k - len(path) - 1))
+            stack.append(_picks(sizes, gap, after, pair, first, k - len(path) - 1))
         elif pending is None:
             yield tuple(path)
 

@@ -11,7 +11,8 @@ from collections import Counter
 from functools import lru_cache
 
 import circsep.cli as cli
-from circsep.bijection import check_bijectivity, forward, zag, zig
+from circsep.bijection import (backward, check_bijectivity, forward, zag,
+                               zig)
 from circsep.core import (CircleSystem, Element, SeparationParams,
                           parse_selection)
 from circsep.counting import (binomial, count_circle, count_circle_fixed,
@@ -125,6 +126,17 @@ def test_criterion_4_bijection_suite():
         report = check_bijectivity(CircleSystem((n1, n2)), s, k)
         if not report.passed:
             failures.append(((n1, n2, s, k), report.failures[0]))
+        if n1 + n2 <= 10:
+            # check_bijectivity skips the public functions' input checks;
+            # run them here on every valid input of the small points
+            system = CircleSystem((n1, n2))
+            for sel in enumerate_gap(EnumerationRequest(
+                    CircleSystem((n1 + n2,)), SeparationParams(s, k),
+                    Element(1, 1))):
+                flat = sel.positions_in(1)
+                again = forward(backward(flat, system, s), system, s)
+                if again != flat:
+                    failures.append(((n1, n2, s, k), flat, again))
     if points < 1000:
         failures.append(("grid unexpectedly small", points))
     image = sorted(forward(parse_selection(text), CircleSystem((4, 3)), 1)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from circsep import bijection
@@ -256,6 +256,7 @@ def anchored_points(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(anchored_points())
+@example((CircleSystem((7, 3)), 1, (1, 3, 5)))  # n_2 = s*k, the least allowed
 def test_round_trip_past_the_exhaustive_range(point):
     system, s, flat = point
     k = len(flat)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circsep import enumeration
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, is_s_separated)
 from circsep.counting import (count_circle, count_circle_fixed, count_system,
@@ -179,27 +178,6 @@ def test_gap_search_properties(req):
         else:
             with pytest.raises(DomainError):
                 count()
-
-
-def test_fixed_last_pick_draws_no_candidates_below_it(monkeypatch):
-    """With ``fixed`` late in the canonical order, the last depth tests the
-    fixed pair alone instead of walking every candidate below it."""
-    drawn = 0
-    picks = enumeration._picks
-
-    def counted(*args):
-        nonlocal drawn
-        for candidate in picks(*args):
-            drawn += 1
-            yield candidate
-
-    monkeypatch.setattr(enumeration, "_picks", counted)
-    totals = {}
-    for fixed in (Element(1, 1), Element(5, 5)):
-        drawn = 0
-        count_by_enumeration(request([6, 6, 6, 5, 5], 1, 5, fixed))
-        totals[fixed] = drawn
-    assert totals[Element(5, 5)] <= 2 * totals[Element(1, 1)], totals
 
 
 # ---------------------------------------------------------------------------
