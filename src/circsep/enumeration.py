@@ -7,7 +7,8 @@ search over the canonical (circle, position) order: each depth picks the next
 element after the previous one, on the same circle at least ``s + 1`` further
 on and within the wrap-around gap back to that circle's first pick, or on a
 later circle.  A branch is cut as soon as the circles left cannot hold the
-rest of k.  Both yield selections in lexicographic order of the canonical
+rest of k.  The last depth is one loop over its candidates, each completing a
+selection.  Both yield selections in lexicographic order of the canonical
 (circle, position) serialization, so output is deterministic and directly
 comparable.
 
@@ -102,7 +103,8 @@ def selection_keys(request: EnumerationRequest):
     wrap-around bound back to the circle's first pick; every other pair is
     then farther apart.  A circle of size n holds at most ``max(1, n // (s+1))``
     picks.  Until ``fixed`` is taken, the first candidate past it ends its
-    depth.
+    depth.  The last depth is one loop, not a stack entry; while ``fixed`` is
+    pending it yields only the fixed pair.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -129,10 +131,20 @@ def selection_keys(request: EnumerationRequest):
         path.append(pair)
         if pair == pending:
             pending = None
-        if len(path) < k:
+        if len(path) < k - 1:
             stack.append(_picks(sizes, gap, after, pair, first, k - len(path) - 1))
-        elif pending is None:
-            yield tuple(path)
+        elif len(path) == k:  # k == 1: the first depth is the last
+            if pending is None:
+                yield (pair,)
+        else:  # the last depth, in one loop
+            base = tuple(path)
+            for last, _ in _picks(sizes, gap, after, pair, first, 0):
+                if pending is None:
+                    yield base + (last,)
+                elif last >= pending:  # only the fixed pair itself completes
+                    if last == pending:
+                        yield base + (last,)
+                    break
 
 
 def enumerate_gap(request: EnumerationRequest):

@@ -14,7 +14,12 @@ Its failures are expected and do not count against the overall verdict.
 Evaluation is embarrassingly parallel over points and every check is a pure
 function of its parameters, so reports are assembled in canonical grid order
 regardless of how many worker processes ran them; output for a fixed grid is
-byte-identical for any job count.
+byte-identical for any job count.  With one job, ``verify_all`` evaluates the
+points in reverse grid order and keeps, for that call only, the length of each
+``system-fixed`` walk in a dict (ints, not buckets, so memory stays flat); the
+``system`` point of the same size tuple takes its count from there instead of
+walking the same family again.  ``jobs > 1`` and a bare ``evaluate_point``
+share no walks.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
+from .enumeration import EnumerationRequest, selection_keys
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 
@@ -213,16 +218,20 @@ def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
 # per-point evaluation (pure; runs in worker processes)
 
 
-def _oracle_count(sizes, s, k, fixed=None) -> int:
-    return count_by_enumeration(EnumerationRequest(
-        CircleSystem(tuple(sizes)), SeparationParams(s, k), fixed))
+def _oracle_count(sizes, s, k) -> int:
+    return sum(1 for _ in selection_keys(EnumerationRequest(
+        CircleSystem(tuple(sizes)), SeparationParams(s, k))))
 
 
-def _element_buckets(sizes, s, k) -> Counter:
+def _element_buckets(sizes, s, k, walks=None) -> Counter:
     """Per-element membership counts over all s-separated k-selections,
-    keyed by (circle, position)."""
-    return Counter(itertools.chain.from_iterable(selection_keys(
-        EnumerationRequest(CircleSystem(tuple(sizes)), SeparationParams(s, k)))))
+    keyed by (circle, position); ``walks``, when given, also gets the number
+    of selections under ``(sizes, s, k)``."""
+    keys = list(selection_keys(EnumerationRequest(
+        CircleSystem(tuple(sizes)), SeparationParams(s, k))))
+    if walks is not None:
+        walks[tuple(sizes), s, k] = len(keys)
+    return Counter(itertools.chain.from_iterable(keys))
 
 
 def _eval_circle(params: dict) -> IdentityReport:
@@ -243,20 +252,22 @@ def _eval_circle_fixed(params: dict) -> IdentityReport:
     return _report("circle-fixed", params, closed, closed)
 
 
-def _eval_system(params: dict) -> IdentityReport:
+def _eval_system(params: dict, walks=None) -> IdentityReport:
     sizes, s, k = params["sizes"], params["s"], params["k"]
     closed = count_system(CircleSystem(tuple(sizes)), s, k)
-    return _report("system", params, closed, _oracle_count(sizes, s, k))
+    key = (tuple(sizes), s, k)
+    count = walks.pop(key) if walks and key in walks else _oracle_count(sizes, s, k)
+    return _report("system", params, closed, count)
 
 
-def _eval_system_fixed(params: dict) -> IdentityReport:
+def _eval_system_fixed(params: dict, walks=None) -> IdentityReport:
     sizes, s, k = params["sizes"], params["s"], params["k"]
     system = CircleSystem(tuple(sizes))
     lo = _least_size(s, k)
     qualifying = [c for c, n in enumerate(sizes, 1) if n >= lo]
     if not qualifying:
         return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
-    buckets = _element_buckets(sizes, s, k)
+    buckets = _element_buckets(sizes, s, k, walks)
     for c in qualifying:
         # the closed form is the same for every element of circle c
         closed = count_system_fixed(system, s, k, Element(1, c))
@@ -381,10 +392,15 @@ class SweepGrid:
         object.__setattr__(self, "checks", ordered)
 
 
-def evaluate_point(point: tuple[str, dict, str | None]) -> IdentityReport:
-    check, params, skip_reason = point
+def evaluate_point(point: tuple) -> IdentityReport:
+    """Evaluate one point of ``grid_points``.  ``verify_all`` appends its walk
+    counts as a fourth item, so that per-point wrappers (perfbench's per-check
+    timing) still see one argument."""
+    check, params, skip_reason, *walks = point
     if skip_reason is not None:
         return _skipped(check, params, skip_reason)
+    if check in ("system", "system-fixed"):
+        return _CHECKS[check][2](params, *walks)
     return _CHECKS[check][2](params)
 
 
@@ -392,7 +408,9 @@ def verify_all(grid: SweepGrid) -> list[IdentityReport]:
     """Evaluate every selected check over the grid; canonical report order."""
     points = grid_points(grid)
     if grid.jobs == 1:
-        return [evaluate_point(pt) for pt in points]
+        walks: dict = {}  # dropped on return: nothing outlives this call
+        reports = [evaluate_point((*pt, walks)) for pt in reversed(points)]
+        return reports[::-1]
     chunk = max(1, len(points) // (grid.jobs * 8))
     with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
         return list(pool.map(evaluate_point, points, chunksize=chunk))

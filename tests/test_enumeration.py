@@ -107,9 +107,13 @@ def test_gap_matches_naive_exhaustively():
 
 
 def test_gap_matches_naive_with_fixed():
+    # every element fixed up to 8 positions: on a middle circle, first or last
+    # among the last depth's candidates, and at k = 1; then 1@1 and the last
     for total in range(2, 11):
         for sizes in partitions(total):
-            anchors = {Element(1, 1), Element(sizes[-1], len(sizes))}
+            anchors = ({Element(p, c) for c, n in enumerate(sizes, 1)
+                        for p in range(1, n + 1)} if total <= 8 else
+                       {Element(1, 1), Element(sizes[-1], len(sizes))})
             for s in range(0, 4):
                 for k in range(1, 5):
                     for fixed in anchors:

@@ -107,6 +107,58 @@ def test_system_fixed_names_the_circle_whose_closed_form_is_wrong(monkeypatch):
     assert report.counterexample.startswith("fixed=1@2: ")
 
 
+SYSTEM_CHECKS = SweepGrid(max_size=7, max_k=2, max_s=2,
+                          checks=("system", "system-fixed"))
+
+
+def _wrap_walks(monkeypatch, drop_first_of=None):
+    """Record the (sizes, s, k) of every search verify starts; the walk of
+    ``drop_first_of`` loses its first selection."""
+    selection_keys = verify.selection_keys
+    walks = []
+
+    def wrapped(request):
+        key = (request.system.sizes, request.params.s, request.params.k)
+        walks.append(key)
+        keys = selection_keys(request)
+        if key == drop_first_of:
+            next(keys)
+        return keys
+
+    monkeypatch.setattr(verify, "selection_keys", wrapped)
+    return walks
+
+
+def test_system_checks_share_one_walk_per_size_tuple_within_a_call(monkeypatch):
+    walks = _wrap_walks(monkeypatch)
+    first = verify_all(SYSTEM_CHECKS)
+    tuples = {(r.params["sizes"], r.params["s"], r.params["k"])
+              for r in first if not r.skipped}
+    assert len(walks) == len(set(walks)) == len(tuples)
+    assert overall_pass(first)
+    # nothing carries over into the next call
+    assert verify_all(SYSTEM_CHECKS) == first
+    assert len(walks) == 2 * len(tuples)
+    # nor into a bare evaluation of a point the sweep has seen
+    params = {"sizes": (5, 5), "s": 1, "k": 2}
+    assert evaluate_point(("system", params, None)).passed
+    assert walks[-1] == ((5, 5), 1, 2) and len(walks) == 2 * len(tuples) + 1
+
+
+def test_shared_walk_is_still_the_oracle_for_both_system_checks(monkeypatch):
+    _wrap_walks(monkeypatch, drop_first_of=((5, 5), 1, 2))
+    failing = [r for r in verify_all(SYSTEM_CHECKS)
+               if not r.skipped and not r.passed]
+    assert [(r.check, r.params) for r in failing] == [
+        ("system", {"sizes": (5, 5), "s": 1, "k": 2}),
+        ("system-fixed", {"sizes": (5, 5), "s": 1, "k": 2})]
+    system, fixed = failing
+    # closed forms on the left, enumeration (one selection short) on the right
+    assert (system.left, system.right) == ("35", "34")
+    assert (fixed.left, fixed.right) == ("7", "6")
+    assert fixed.counterexample.startswith("fixed=1@1: enumeration 6")
+
+
 # ---------------------------------------------------------------------------
 # a full small sweep
 
