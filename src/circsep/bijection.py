@@ -38,7 +38,7 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, _check_bounds,
                    _require_two_circles, flatten, is_s_separated, unflatten)
 from .counting import binomial
-from .enumeration import EnumerationRequest, selection_keys
+from .enumeration import EnumerationRequest, _selection, selection_keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,10 +253,6 @@ class BijectivityReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def _selection(pairs) -> SelectionSet:
-    return SelectionSet(tuple(Element(p, c) for c, p in pairs))
 
 
 def _pairs(positions: dict[int, set[int]]) -> tuple[tuple[int, int], ...]:

@@ -40,6 +40,10 @@ class EnumerationRequest:
             self.system.check_element(self.fixed)
 
 
+def _selection(pairs) -> SelectionSet:
+    return SelectionSet(tuple(Element(p, c) for c, p in pairs))
+
+
 def enumerate_naive(request: EnumerationRequest):
     """Filter all k-subsets of the ground set; the reference enumerator.
 
@@ -65,7 +69,7 @@ def enumerate_naive(request: EnumerationRequest):
                 ok = False
                 break
         if ok:
-            yield SelectionSet(tuple(Element(p, c) for c, p in combo))
+            yield _selection(combo)
 
 
 def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
@@ -150,7 +154,7 @@ def selection_keys(request: EnumerationRequest):
 def enumerate_gap(request: EnumerationRequest):
     """Pruned enumerator; same sets and the same order as ``enumerate_naive``."""
     for pairs in selection_keys(request):
-        yield SelectionSet(tuple(Element(p, c) for c, p in pairs))
+        yield _selection(pairs)
 
 
 def count_by_enumeration(request: EnumerationRequest) -> int:

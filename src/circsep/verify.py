@@ -11,15 +11,17 @@ circulated but misprinted variant of the fixed-element sum (binomial exponent
 ``j - 1`` instead of ``j`` in the second factor) and records that it fails.
 Its failures are expected and do not count against the overall verdict.
 
-Evaluation is embarrassingly parallel over points and every check is a pure
-function of its parameters, so reports are assembled in canonical grid order
-regardless of how many worker processes ran them; output for a fixed grid is
-byte-identical for any job count.  With one job, ``verify_all`` evaluates the
-points in reverse grid order and keeps, for that call only, the length of each
-``system-fixed`` walk in a dict (ints, not buckets, so memory stays flat); the
-``system`` point of the same size tuple takes its count from there instead of
-walking the same family again.  ``jobs > 1`` and a bare ``evaluate_point``
-share no walks.
+Every evaluator takes a point's parameters as keywords.  Evaluation is
+embarrassingly parallel over points and every check is a pure function of its
+parameters, so reports are assembled in canonical grid order regardless of how
+many worker processes ran them; output for a fixed grid is byte-identical for
+any job count.  With one job, ``verify_all`` evaluates the points in reverse
+grid order and keeps, for that call only, the length of each ``system-fixed``
+walk in a dict (ints, not buckets, so memory stays flat), passed only to the
+two ``system`` checks: ``_bucket_report`` stores a walk's length there, and
+``_oracle_count`` takes it for the ``system`` point of the same size tuple
+instead of walking the same family again.  ``jobs > 1`` and a bare
+``evaluate_point`` share no walks.
 """
 
 from __future__ import annotations
@@ -218,114 +220,92 @@ def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
 # per-point evaluation (pure; runs in worker processes)
 
 
-def _oracle_count(sizes, s, k) -> int:
+def _oracle_count(sizes, s, k, walks=None) -> int:
+    """The number of s-separated k-selections on ``sizes``: the count a bucket
+    walk of the same ``(sizes, s, k)`` left in ``walks``, or a fresh walk."""
+    key = (tuple(sizes), s, k)
+    if walks and key in walks:
+        return walks.pop(key)
     return sum(1 for _ in selection_keys(EnumerationRequest(
-        CircleSystem(tuple(sizes)), SeparationParams(s, k))))
+        CircleSystem(key[0]), SeparationParams(s, k))))
 
 
-def _element_buckets(sizes, s, k, walks=None) -> Counter:
-    """Per-element membership counts over all s-separated k-selections,
-    keyed by (circle, position); ``walks``, when given, also gets the number
-    of selections under ``(sizes, s, k)``."""
+def _bucket_report(check: str, params: dict, sizes, s, k, closed_on: dict,
+                   walks=None) -> IdentityReport:
+    """Compare, for every element of each circle in ``closed_on`` (circle ->
+    its closed form), the closed form with the number of s-separated
+    k-selections through that element; ``walks``, when given, also gets the
+    number of selections under ``(sizes, s, k)``."""
     keys = list(selection_keys(EnumerationRequest(
         CircleSystem(tuple(sizes)), SeparationParams(s, k))))
     if walks is not None:
         walks[tuple(sizes), s, k] = len(keys)
-    return Counter(itertools.chain.from_iterable(keys))
-
-
-def _eval_circle(params: dict) -> IdentityReport:
-    n, s, k = params["n"], params["s"], params["k"]
-    return _report("circle", params, count_circle(n, s, k), _oracle_count([n], s, k))
-
-
-def _eval_circle_fixed(params: dict) -> IdentityReport:
-    n, s, k = params["n"], params["s"], params["k"]
-    closed = count_circle_fixed(n, s, k)
-    buckets = _element_buckets([n], s, k)
-    for a in range(1, n + 1):
-        got = buckets[1, a]
-        if got != closed:
-            return _report("circle-fixed", params, closed, got,
-                           counterexample=f"fixed={a}@1: enumeration {got}, "
-                                          f"closed form {closed}")
-    return _report("circle-fixed", params, closed, closed)
-
-
-def _eval_system(params: dict, walks=None) -> IdentityReport:
-    sizes, s, k = params["sizes"], params["s"], params["k"]
-    closed = count_system(CircleSystem(tuple(sizes)), s, k)
-    key = (tuple(sizes), s, k)
-    count = walks.pop(key) if walks and key in walks else _oracle_count(sizes, s, k)
-    return _report("system", params, closed, count)
-
-
-def _eval_system_fixed(params: dict, walks=None) -> IdentityReport:
-    sizes, s, k = params["sizes"], params["s"], params["k"]
-    system = CircleSystem(tuple(sizes))
-    lo = _least_size(s, k)
-    qualifying = [c for c, n in enumerate(sizes, 1) if n >= lo]
-    if not qualifying:
-        return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
-    buckets = _element_buckets(sizes, s, k, walks)
-    for c in qualifying:
-        # the closed form is the same for every element of circle c
-        closed = count_system_fixed(system, s, k, Element(1, c))
+    buckets = Counter(itertools.chain.from_iterable(keys))
+    for c, closed in closed_on.items():
         for a in range(1, sizes[c - 1] + 1):
             got = buckets[c, a]
             if got != closed:
-                return _report("system-fixed", params, closed, got,
+                return _report(check, params, closed, got,
                                counterexample=f"fixed={a}@{c}: enumeration {got}, "
                                               f"closed form {closed}")
-    return _report("system-fixed", params, closed, closed)
+    return _report(check, params, closed, closed)
 
 
-def _eval_recursion(params: dict) -> IdentityReport:
-    sizes, s, k = params["sizes"], params["s"], params["k"]
+def _eval_circle(n, s, k) -> IdentityReport:
+    return _report("circle", {"n": n, "s": s, "k": k}, count_circle(n, s, k),
+                   _oracle_count([n], s, k))
+
+
+def _eval_circle_fixed(n, s, k) -> IdentityReport:
+    return _bucket_report("circle-fixed", {"n": n, "s": s, "k": k}, [n], s, k,
+                          {1: count_circle_fixed(n, s, k)})
+
+
+def _eval_system(walks=None, *, sizes, s, k) -> IdentityReport:
+    return _report("system", {"sizes": sizes, "s": s, "k": k},
+                   count_system(CircleSystem(tuple(sizes)), s, k),
+                   _oracle_count(sizes, s, k, walks))
+
+
+def _eval_system_fixed(walks=None, *, sizes, s, k) -> IdentityReport:
+    params = {"sizes": sizes, "s": s, "k": k}
     system = CircleSystem(tuple(sizes))
-    return _report("recursion", params,
+    lo = _least_size(s, k)
+    # the closed form is the same for every element of circle c
+    closed_on = {c: count_system_fixed(system, s, k, Element(1, c))
+                 for c, n in enumerate(sizes, 1) if n >= lo}
+    if not closed_on:
+        return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
+    return _bucket_report("system-fixed", params, sizes, s, k, closed_on, walks)
+
+
+def _eval_recursion(sizes, s, k) -> IdentityReport:
+    system = CircleSystem(tuple(sizes))
+    return _report("recursion", {"sizes": sizes, "s": s, "k": k},
                    count_system_fixed_recursive(system, s, k),
                    count_system_fixed(system, s, k, Element(1, 1)))
 
 
-def _eval_convolution(params: dict) -> IdentityReport:
-    return verify_convolution_identity(params["n1"], params["n2"],
-                                       params["s"], params["k"])
+def _eval_bijection(n1, n2, s, k) -> IdentityReport:
+    rep = check_bijectivity(CircleSystem((n1, n2)), s, k)
+    return _report("bijection", {"n1": n1, "n2": n2, "s": s, "k": k},
+                   len(rep.failures), 0,
+                   counterexample=rep.failures[0] if rep.failures else "")
 
 
-def _eval_fixed_sum(params: dict) -> IdentityReport:
-    return verify_fixed_sum_identity(params["m"], params["n"],
-                                     params["s"], params["k"])
-
-
-def _eval_fixed_sum_printed(params: dict) -> IdentityReport:
-    return verify_fixed_sum_printed(params["m"], params["n"],
-                                    params["s"], params["k"])
-
-
-def _eval_bijection(params: dict) -> IdentityReport:
-    rep = check_bijectivity(CircleSystem((params["n1"], params["n2"])),
-                            params["s"], params["k"])
-    report = _report("bijection", params, len(rep.failures), 0,
-                     counterexample=rep.failures[0] if rep.failures else "")
-    return report
-
-
-def _eval_double_count(params: dict) -> IdentityReport:
-    sizes, s, k = params["sizes"], params["s"], params["k"]
+def _eval_double_count(sizes, s, k) -> IdentityReport:
     system = CircleSystem(tuple(sizes))
     left = k * count_system(system, s, k)
     right = system.total * count_system_fixed(system, s, k, Element(1, 1))
-    return _report("double-count", params, left, right)
+    return _report("double-count", {"sizes": sizes, "s": s, "k": k}, left, right)
 
 
-def _eval_divisibility(params: dict) -> IdentityReport:
+def _eval_divisibility(n, s, k) -> IdentityReport:
     # (n - s*k) divides n * C(n - s*k, k), and k divides n * C(n - s*k - 1, k - 1):
     # the two exact divisions performed by the closed forms
-    n, s, k = params["n"], params["s"], params["k"]
     rem_free = (n * binomial(n - s * k, k)) % (n - s * k)
     rem_fixed = (n * binomial(n - s * k - 1, k - 1)) % k
-    return _report("divisibility", params, rem_free + rem_fixed, 0,
+    return _report("divisibility", {"n": n, "s": s, "k": k}, rem_free + rem_fixed, 0,
                    counterexample="" if rem_free + rem_fixed == 0 else
                    f"remainders: free form {rem_free}, fixed form {rem_fixed}")
 
@@ -347,11 +327,11 @@ _CHECKS = {
     # one-circle-at-a-time recomputation vs direct fixed count
     "recursion": (_gen_recursion, (), _eval_recursion),
     # polynomial product of single-circle counts vs direct free count
-    "convolution": (_gen_pairs, (False, ("n1", "n2")), _eval_convolution),
+    "convolution": (_gen_pairs, (False, ("n1", "n2")), verify_convolution_identity),
     # two-circle fixed-element sum identity (corrected)
-    "fixed-sum": (_gen_pairs, (True, ("n", "m")), _eval_fixed_sum),
+    "fixed-sum": (_gen_pairs, (True, ("n", "m")), verify_fixed_sum_identity),
     # the misprinted variant, reported for documentation
-    "fixed-sum-printed": (_gen_pairs, (True, ("n", "m")), _eval_fixed_sum_printed),
+    "fixed-sum-printed": (_gen_pairs, (True, ("n", "m")), verify_fixed_sum_printed),
     # exhaustive forward/backward round trip per point
     "bijection": (_gen_pairs, (True, ("n1", "n2")), _eval_bijection),
     # k * free count == N * fixed count
@@ -382,6 +362,8 @@ class SweepGrid:
             raise ValueError("grid bounds must be >= 1")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks takes check names, not a string: {self.checks!r}")
         if not self.checks:
             raise ValueError("at least one check is required")
         unknown = [c for c in self.checks if c not in CHECKS]
@@ -393,15 +375,17 @@ class SweepGrid:
 
 
 def evaluate_point(point: tuple) -> IdentityReport:
-    """Evaluate one point of ``grid_points``.  ``verify_all`` appends its walk
-    counts as a fourth item, so that per-point wrappers (perfbench's per-check
-    timing) still see one argument."""
+    """Evaluate one point of ``grid_points``, passing its parameters as
+    keywords.  ``verify_all`` appends its walk counts as a fourth item, which
+    only ``system`` and ``system-fixed`` receive, so that per-point wrappers
+    (perfbench's per-check timing) still see one argument."""
     check, params, skip_reason, *walks = point
     if skip_reason is not None:
         return _skipped(check, params, skip_reason)
+    evaluator = _CHECKS[check][2]
     if check in ("system", "system-fixed"):
-        return _CHECKS[check][2](params, *walks)
-    return _CHECKS[check][2](params)
+        return evaluator(*walks, **params)
+    return evaluator(**params)
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:
@@ -409,7 +393,8 @@ def verify_all(grid: SweepGrid) -> list[IdentityReport]:
     points = grid_points(grid)
     if grid.jobs == 1:
         walks: dict = {}  # dropped on return: nothing outlives this call
-        reports = [evaluate_point((*pt, walks)) for pt in reversed(points)]
+        # popped: each report builds its own params, so the grid's go as they are done
+        reports = [evaluate_point((*points.pop(), walks)) for _ in range(len(points))]
         return reports[::-1]
     chunk = max(1, len(points) // (grid.jobs * 8))
     with ProcessPoolExecutor(max_workers=grid.jobs) as pool:

@@ -73,6 +73,8 @@ def test_grid_validation():
         SweepGrid(max_size=0)
     with pytest.raises(ValueError, match="at least one check"):
         SweepGrid(checks=())  # an empty sweep would pass vacuously
+    with pytest.raises(ValueError, match="check names, not a string"):
+        SweepGrid(checks="circle")  # would otherwise be read letter by letter
 
 
 def test_grid_normalizes_check_order():
@@ -105,6 +107,30 @@ def test_system_fixed_names_the_circle_whose_closed_form_is_wrong(monkeypatch):
                              None))
     assert not report.passed
     assert report.counterexample.startswith("fixed=1@2: ")
+
+
+@pytest.mark.parametrize("closed_form, check, shifted_side", [
+    ("count_circle", "circle", "left"),
+    ("count_circle_fixed", "circle-fixed", "left"),
+    ("count_system", "system", "left"),
+    ("count_system_convolution", "convolution", "right"),
+])
+def test_a_shifted_closed_form_fails_its_check(monkeypatch, closed_form, check,
+                                               shifted_side):
+    # verify reads the closed forms through its own module globals, identities
+    # held in the registry included
+    closed = getattr(verify, closed_form)
+    monkeypatch.setattr(verify, closed_form, lambda *args: closed(*args) + 1)
+    reports = [r for r in verify_all(SweepGrid(max_size=6, max_k=2, max_s=1,
+                                               checks=(check,)))
+               if not r.skipped]
+    assert reports and not any(r.passed for r in reports)
+    for r in reports:
+        shifted, other = ((r.left, r.right) if shifted_side == "left"
+                          else (r.right, r.left))
+        assert int(shifted) == int(other) + 1, (r.params, r.left, r.right)
+        if check == "circle-fixed":
+            assert r.counterexample.startswith("fixed=1@1: enumeration")
 
 
 SYSTEM_CHECKS = SweepGrid(max_size=7, max_k=2, max_s=2,
