@@ -97,10 +97,6 @@ class ZigZagTrace:
         }
 
 
-def _flat_selection(positions) -> SelectionSet:
-    return SelectionSet(tuple(Element(p, 1) for p in positions))
-
-
 def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
                   op: str) -> None:
     _require_two_circles(system, op)
@@ -120,15 +116,12 @@ def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
     ``zag`` on circle 1; everything else is identical.  The input is not
     validated here: callers pass selections that meet zig's or zag's
     preconditions."""
-    n1, n2 = sizes
     even_window_circle = 2 if direction == "zig" else 1
     original = {(p, c) for c in (1, 2) for p in positions[c]}
     removed_pairs: set[tuple[int, int]] = set()
     # phantom seeds one past the top of each circle
-    if direction == "zig":
-        last_removed, last_added = n1 + 1, n2 + 1
-    else:
-        last_removed, last_added = n2 + 1, n1 + 1
+    last_added = sizes[even_window_circle - 1] + 1
+    last_removed = sizes[2 - even_window_circle] + 1
     k = len(original)
     steps: list[SwitchStep] = []
     while True:
@@ -181,12 +174,15 @@ def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
     return tuple(steps)
 
 
+def _pairs(positions: dict[int, set[int]]) -> tuple[tuple[int, int], ...]:
+    return tuple((c, p) for c in (1, 2) for p in sorted(positions[c]))
+
+
 def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
                   direction: str) -> tuple[SelectionSet, ZigZagTrace]:
-    positions = {1: set(selection.positions_in(1)), 2: set(selection.positions_in(2))}
+    positions = {c: set(selection.positions_in(c)) for c in (1, 2)}
     steps = _switch_chain(positions, system.sizes, s, direction)
-    result = SelectionSet(tuple(Element(p, c) for c in (1, 2) for p in positions[c]))
-    return result, ZigZagTrace(direction, steps)
+    return _selection(_pairs(positions)), ZigZagTrace(direction, steps)
 
 
 def zig(selection: SelectionSet, system: CircleSystem, s: int
@@ -213,9 +209,8 @@ def zag(selection: SelectionSet, system: CircleSystem, s: int
     on the two circles.
     """
     _check_common(selection, system, s, "zag")
-    n1, n2 = system.sizes
-    flat = _flat_selection(flatten(e, system) for e in selection)
-    if not is_s_separated(flat, CircleSystem((n1 + n2,)), s):
+    flat = _selection((1, flatten(e, system)) for e in selection)
+    if not is_s_separated(flat, CircleSystem((system.total,)), s):
         raise DomainError(
             "zag requires a selection whose flattening is s-separated on the "
             "combined circle")
@@ -253,10 +248,6 @@ class BijectivityReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def _pairs(positions: dict[int, set[int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((c, p) for c in (1, 2) for p in sorted(positions[c]))
 
 
 def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport:

@@ -15,8 +15,10 @@ Four subcommands cover the library surface:
 Counts are printed as exact decimal strings (never floats), output for a fixed
 invocation is byte-deterministic, and exit codes are stable: 0 success,
 1 failed verification, 2 usage error, 3 parameter outside an operation's
-precondition (the violated bound is named on stderr), 4 internal error (a
-broken internal invariant, i.e. a bug in circsep, named on stderr).
+precondition (the violated bound is named), 4 internal error (a broken
+internal invariant, i.e. a bug in circsep).  A command line that argparse
+cannot parse prints its usage first; every failure after parsing prints one
+line on stderr, ``error: <message>`` (``internal error: ...`` for exit 4).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated circle sizes, got {text!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
+    if any(n < 1 for n in sizes):
         raise argparse.ArgumentTypeError("circle sizes must be positive integers")
     return sizes
 
@@ -84,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("closed", "recursive", "convolution", "enumerate"),
                          default="closed")
     p_count.add_argument("--format", choices=("text", "json"), default="text")
+    p_count.set_defaults(run=_cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list s-separated k-selections")
     p_enum.add_argument("--sizes", type=_sizes, required=True)
@@ -95,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop after this many selections")
     p_enum.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
+    p_enum.set_defaults(run=_cmd_enumerate)
 
     p_bij = sub.add_parser("bijection",
                            help="map a selection across the two-circle/one-circle "
@@ -110,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--trace", action="store_true",
                        help="also print the switch trace as JSON")
     p_bij.add_argument("--format", choices=("text", "json"), default="text")
+    p_bij.set_defaults(run=_cmd_bijection)
 
     p_ver = sub.add_parser("verify", help="sweep the identity checks over a grid")
     p_ver.add_argument("--checks", default=None, metavar="LIST",
@@ -119,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-s", type=_positive, default=2)
     p_ver.add_argument("--jobs", type=_positive, default=1)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
+    p_ver.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -126,21 +132,21 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_count(args) -> int:
     system = CircleSystem(args.sizes)
     fixed = args.fixed
     # the library checks k >= 1 first: at --k 0 an absent element would exit 3
     if fixed is not None and fixed not in system:
-        parser.error(f"--fixed {fixed} does not exist in system {list(args.sizes)}")
+        raise ValueError(f"--fixed {fixed} does not exist in system {list(args.sizes)}")
     if args.method == "recursive":
         if fixed != Element(1, 1):
-            parser.error("--method recursive computes the count through the "
-                         "first element only; it requires --fixed 1@1")
+            raise ValueError("--method recursive computes the count through the "
+                             "first element only; it requires --fixed 1@1")
         value = count_system_fixed_recursive(system, args.s, args.k)
     elif args.method == "convolution":
         if fixed is not None:
-            parser.error("--method convolution computes the free count; "
-                         "it does not accept --fixed")
+            raise ValueError("--method convolution computes the free count; "
+                             "it does not accept --fixed")
         value = count_system_convolution(system, args.s, args.k)
     elif args.method == "enumerate":
         value = count_by_enumeration(EnumerationRequest(
@@ -160,7 +166,7 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_enumerate(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_enumerate(args) -> int:
     system = CircleSystem(args.sizes)
     stream = selection_keys(EnumerationRequest(
         system, SeparationParams(args.s, args.k), args.fixed))
@@ -178,34 +184,31 @@ def _cmd_enumerate(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _parse_set(text: str, parse, parser: argparse.ArgumentParser):
+def _parse_set(text: str, parse):
     """Parse ``--set`` with ``parse``; an element listed twice is a usage
     error rather than silently dropped, since it would change k."""
-    try:
-        parsed = parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
+    parsed = parse(text)
     if len(parsed) != (len(text.split(",")) if text.strip() else 0):
-        parser.error(f"--set lists an element more than once: {text.strip()}")
+        raise ValueError(f"--set lists an element more than once: {text.strip()}")
     return parsed
 
 
-def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_bijection(args) -> int:
     system = CircleSystem(args.sizes)
     # zig and zag refuse other systems with DomainError, which would exit 3
     if system.num_circles != 2:
-        parser.error("bijection requires exactly two circle sizes")
+        raise ValueError("bijection requires exactly two circle sizes")
     if args.direction == "forward":
-        selection = _parse_set(args.selection, parse_selection, parser)
+        selection = _parse_set(args.selection, parse_selection)
         repaired, trace = zig(selection, system, args.s)
         out = format_flat_selection(flatten(e, system) for e in repaired)
     else:
-        positions = _parse_set(args.selection, parse_flat_selection, parser)
+        positions = _parse_set(args.selection, parse_flat_selection)
         total = system.total
         # unflatten refuses these with DomainError, which would exit 3
         for p in positions:
             if not 1 <= p <= total:
-                parser.error(f"position {p} outside the combined circle 1..{total}")
+                raise ValueError(f"position {p} outside the combined circle 1..{total}")
         unflat = SelectionSet(tuple(unflatten(p, system) for p in positions))
         repaired, trace = zag(unflat, system, args.s)
         out = str(repaired)
@@ -224,7 +227,7 @@ def _cmd_bijection(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     checks = CHECKS
     if args.checks is not None:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
@@ -239,20 +242,10 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    handlers = {
-        "count": _cmd_count,
-        "enumerate": _cmd_enumerate,
-        "bijection": _cmd_bijection,
-        "verify": _cmd_verify,
-    }
-    try:
-        return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # argparse: --help, or a line it cannot parse
         return int(exc.code or 0)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

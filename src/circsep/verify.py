@@ -127,10 +127,8 @@ def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
             bad_term = f"term j={j} is {term}, not an integer"
         total += term
     right = binomial(m + n - s * k - 1, k - 1)
-    left_s = str(total) if total.denominator != 1 else str(total.numerator)
-    return IdentityReport(check="fixed-sum-printed", params=params,
-                          left=left_s, right=str(right),
-                          passed=total == right, counterexample=bad_term)
+    return _report("fixed-sum-printed", params, total, right,
+                   counterexample=bad_term)
 
 
 def verify_convolution_identity(n1: int, n2: int, s: int, k: int) -> IdentityReport:

@@ -311,6 +311,9 @@ def test_bijection_domain_errors(capsys):
     ("bijection forward --sizes 3,4 --s 1 --set 1@1,3@1,9@2", 2),
     ("bijection forward --sizes 3,4 --s 1 --set 1@1,3@1,2@2", 3),
     ("bijection backward --sizes 4,3 --s 1 --set 1,9", 2),
+    # argparse's own validators run before --help is acted on
+    ("verify --max-k 0 --help", 2),
+    ("count --sizes 0 --s 1 --k 1 --help", 2),
 ])
 def test_first_failing_precondition_sets_the_exit_code(capsys, argv, rc):
     # an absent element or position is a usage error (2) even where a bound
@@ -318,6 +321,28 @@ def test_first_failing_precondition_sets_the_exit_code(capsys, argv, rc):
     got, out, err = run(capsys, *argv.split())
     assert (got, out) == (rc, "")
     assert "error: " in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("count --sizes 8,7 --s 2 --k 3 --fixed 9@1",
+     "--fixed 9@1 does not exist in system [8, 7]"),
+    ("count --sizes 8,7 --s 2 --k 3 --method recursive",
+     "--method recursive computes the count through the first element only; "
+     "it requires --fixed 1@1"),
+    ("count --sizes 8,7 --s 2 --k 3 --fixed 1@1 --method convolution",
+     "--method convolution computes the free count; it does not accept --fixed"),
+    ("bijection forward --sizes 4,3,2 --s 1 --set 1@1",
+     "bijection requires exactly two circle sizes"),
+    ("bijection forward --sizes 4,3 --s 1 --set 1,4",
+     "expected POS@CIRCLE, got '1'"),
+    ("bijection backward --sizes 9,9 --s 1 --set 1,1,4",
+     "--set lists an element more than once: 1,1,4"),
+    ("bijection backward --sizes 4,3 --s 1 --set 1,9",
+     "position 9 outside the combined circle 1..7"),
+])
+def test_usage_error_after_parsing_prints_one_line(capsys, argv, message):
+    # the same one line a library ValueError prints, without argparse's usage
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
