@@ -280,11 +280,19 @@ def test_job_count_does_not_change_reports():
 # the bytes of the default sweep
 
 
-def test_default_sweep_bytes_are_pinned():
-    reports = verify_all(SweepGrid())
-    digests = [hashlib.sha256(text.encode()).hexdigest()
-               for text in (render_table(reports), to_json_lines(reports))]
-    assert digests == [
+@pytest.mark.parametrize("grid, skipping, digests", [
+    (SweepGrid(), {"system-fixed"}, [
         "aaf5ff6d8d0d7dc5e31f8c1a6f292c87f265c7b242cd78e2489e395c3ee901a9",
         "e5473a636a42a27fefafc06293a2e5211815426af46e013c1e58f69b6df0374b",
-    ]
+    ]),
+    # small enough that every check's grid generator takes its skip branch
+    (SweepGrid(max_size=4, max_k=3, max_s=2), set(CHECKS), [
+        "c22ac764baa237d7a3c71d15ef59772ac1f57a6b1d8dac0401eec8df4fa74b1a",
+        "de5b92aa8fb87e1eb7ea3cdc2b76a21f37ddef9c2959459a634ee1a953e934c4",
+    ]),
+], ids=["default", "skips"])
+def test_default_sweep_bytes_are_pinned(grid, skipping, digests):
+    reports = verify_all(grid)
+    assert {r.check for r in reports if r.skipped} == skipping
+    assert [hashlib.sha256(text.encode()).hexdigest()
+            for text in (render_table(reports), to_json_lines(reports))] == digests
