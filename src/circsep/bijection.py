@@ -227,7 +227,11 @@ def forward(selection: SelectionSet, system: CircleSystem, s: int) -> tuple[int,
 def backward(positions, system: CircleSystem, s: int) -> SelectionSet:
     """Map combined-circle positions back to a two-circle selection:
     unflatten, then run ``zag``.  Inverse of ``forward``."""
-    pos = sorted(set(int(p) for p in positions))
+    positions = tuple(positions)
+    for p in positions:
+        if not isinstance(p, int):
+            raise ValueError(f"backward takes integer positions, got {p!r}")
+    pos = sorted(set(positions))
     selection = SelectionSet(tuple(unflatten(p, system) for p in pos))
     repaired, _ = zag(selection, system, s)
     return repaired

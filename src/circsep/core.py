@@ -40,6 +40,9 @@ class Element:
     circle: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.position, int) or not isinstance(self.circle, int):
+            raise ValueError(f"position and circle must be integers, "
+                             f"got {self.position!r}@{self.circle!r}")
         if self.position < 1:
             raise ValueError(f"position must be >= 1, got {self.position}")
         if self.circle < 1:
@@ -64,13 +67,15 @@ class CircleSystem:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.sizes)
-        object.__setattr__(self, "sizes", sizes)
+        sizes = tuple(self.sizes)
         if not sizes:
             raise ValueError("a circle system needs at least one circle")
         for n in sizes:
+            if not isinstance(n, int):  # int() read "87" as sizes 8 and 7
+                raise ValueError(f"circle sizes must be integers, got {self.sizes!r}")
             if n < 1:
                 raise ValueError(f"circle sizes must be >= 1, got {n}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def num_circles(self) -> int:

@@ -18,7 +18,7 @@ many worker processes ran them; output for a fixed grid is byte-identical for
 any job count.  With one job, ``verify_all`` evaluates the points in reverse
 grid order and keeps, for that call only, the length of each ``system-fixed``
 walk in a dict (ints, not buckets, so memory stays flat), passed only to the
-two ``system`` checks: ``_bucket_report`` stores a walk's length there, and
+two ``system`` checks: ``_bucket_report`` stores a walk's count there, and
 ``_oracle_count`` takes it for the ``system`` point of the same size tuple
 instead of walking the same family again.  ``jobs > 1`` and a bare
 ``evaluate_point`` share no walks.
@@ -87,6 +87,19 @@ def _skipped(check: str, params: dict, reason: str) -> IdentityReport:
 # the named identities
 
 
+def _fixed_sum(check: str, op: str, m: int, n: int, s: int, k: int,
+               factor) -> IdentityReport:
+    """``sum_{j=0}^{k-1} C(n - s*(k-j) - 1, k-j-1) * factor(j)`` against
+    ``C(m + n - s*k - 1, k - 1)``, naming the first non-integer term."""
+    _check_bounds(op, s, k, (n, m), fixed=1, names=("n", "m"))
+    terms = [binomial(n - s * (k - j) - 1, k - j - 1) * factor(j)
+             for j in range(k)]
+    bad_term = next((f"term j={j} is {term}, not an integer"
+                     for j, term in enumerate(terms) if term.denominator != 1), "")
+    return _report(check, {"m": m, "n": n, "s": s, "k": k}, sum(terms),
+                   binomial(m + n - s * k - 1, k - 1), counterexample=bad_term)
+
+
 def verify_fixed_sum_identity(m: int, n: int, s: int, k: int) -> IdentityReport:
     """Fixed-element count of a two-circle system as a sum over how many
     elements land on the circle of size m:
@@ -97,13 +110,8 @@ def verify_fixed_sum_identity(m: int, n: int, s: int, k: int) -> IdentityReport:
     The fixed element lives on the circle of size n, so the preconditions are
     ``n >= s*k + 1`` and ``m >= s*k`` (with k >= 1).
     """
-    params = {"m": m, "n": n, "s": s, "k": k}
-    _check_bounds("fixed-sum identity", s, k, (n, m), fixed=1, names=("n", "m"))
-    left = sum(
-        binomial(n - s * (k - j) - 1, k - j - 1) * count_circle(m, s, j)
-        for j in range(k))
-    right = binomial(m + n - s * k - 1, k - 1)
-    return _report("fixed-sum", params, left, right)
+    return _fixed_sum("fixed-sum", "fixed-sum identity", m, n, s, k,
+                      lambda j: count_circle(m, s, j))
 
 
 def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
@@ -115,20 +123,9 @@ def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
     Evaluated on the corrected identity's domain, in exact rational
     arithmetic, and reported as-is.
     """
-    params = {"m": m, "n": n, "s": s, "k": k}
-    _check_bounds("printed fixed-sum variant", s, k, (n, m), fixed=1,
-                  names=("n", "m"))
-    total = Fraction(0)
-    bad_term = ""
-    for j in range(k):
-        factor = Fraction(m, m - s * j) * binomial(m - s * j, j - 1)
-        term = binomial(n - s * (k - j) - 1, k - j - 1) * factor
-        if term.denominator != 1 and not bad_term:
-            bad_term = f"term j={j} is {term}, not an integer"
-        total += term
-    right = binomial(m + n - s * k - 1, k - 1)
-    return _report("fixed-sum-printed", params, total, right,
-                   counterexample=bad_term)
+    return _fixed_sum(
+        "fixed-sum-printed", "printed fixed-sum variant", m, n, s, k,
+        lambda j: Fraction(m, m - s * j) * binomial(m - s * j, j - 1))
 
 
 def verify_convolution_identity(n1: int, n2: int, s: int, k: int) -> IdentityReport:
@@ -146,20 +143,23 @@ def verify_convolution_identity(n1: int, n2: int, s: int, k: int) -> IdentityRep
 
 
 def _sk_grid(grid: SweepGrid):
-    for s in range(1, grid.max_s + 1):
-        for k in range(1, grid.max_k + 1):
-            yield s, k
+    return itertools.product(range(1, grid.max_s + 1), range(1, grid.max_k + 1))
 
 
-def _gen_circle(grid: SweepGrid, check: str):
+def _gen_named(grid: SweepGrid, check: str, keys: tuple[str, ...],
+               beside: tuple[bool, ...]):
+    """One point per product of sizes, named ``keys``: slot i runs up from the
+    least size admitted free or (``beside[i]``) beside a fixed element."""
     for s, k in _sk_grid(grid):
-        lo = _least_size(s, k)
-        if lo > grid.max_size:
-            yield check, {"s": s, "k": k}, \
-                f"no circle size in [{lo}, {grid.max_size}]"
+        los = [_least_size(s, k, b) for b in beside]
+        if max(los) > grid.max_size:
+            what = "circle size" if len(los) == 1 else "size pair"
+            spans = " x ".join(f"[{lo}, {grid.max_size}]" for lo in los)
+            yield check, {"s": s, "k": k}, f"no {what} in {spans}"
             continue
-        for n in range(lo, grid.max_size + 1):
-            yield check, {"n": n, "s": s, "k": k}, None
+        for sizes in itertools.product(
+                *(range(lo, grid.max_size + 1) for lo in los)):
+            yield check, dict(zip(keys, sizes), s=s, k=k), None
 
 
 def _gen_systems(grid: SweepGrid, check: str, beside_fixed: bool):
@@ -191,20 +191,6 @@ def _gen_recursion(grid: SweepGrid, check: str):
                     yield check, {"sizes": (n1, *tail), "s": s, "k": k}, None
 
 
-def _gen_pairs(grid: SweepGrid, check: str, second_beside_fixed: bool,
-               keys: tuple[str, str]):
-    first, second = keys
-    for s, k in _sk_grid(grid):
-        lo1, lo2 = _least_size(s, k), _least_size(s, k, second_beside_fixed)
-        if lo1 > grid.max_size or lo2 > grid.max_size:
-            yield check, {"s": s, "k": k}, \
-                f"no size pair in [{lo1}, {grid.max_size}] x [{lo2}, {grid.max_size}]"
-            continue
-        for a in range(lo1, grid.max_size + 1):
-            for b in range(lo2, grid.max_size + 1):
-                yield check, {first: a, second: b, "s": s, "k": k}, None
-
-
 def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
     """All parameter points of the selected checks, in canonical order."""
     points: list[tuple[str, dict, str | None]] = []
@@ -232,13 +218,13 @@ def _bucket_report(check: str, params: dict, sizes, s, k, closed_on: dict,
                    walks=None) -> IdentityReport:
     """Compare, for every element of each circle in ``closed_on`` (circle ->
     its closed form), the closed form with the number of s-separated
-    k-selections through that element; ``walks``, when given, also gets the
-    number of selections under ``(sizes, s, k)``."""
-    keys = list(selection_keys(EnumerationRequest(
-        CircleSystem(tuple(sizes)), SeparationParams(s, k))))
+    k-selections through that element, tallied in one pass over the search
+    that keeps no selection.  ``walks``, when given, also gets the number of
+    selections under ``(sizes, s, k)``: each fills k buckets."""
+    buckets = Counter(itertools.chain.from_iterable(selection_keys(
+        EnumerationRequest(CircleSystem(tuple(sizes)), SeparationParams(s, k)))))
     if walks is not None:
-        walks[tuple(sizes), s, k] = len(keys)
-    buckets = Counter(itertools.chain.from_iterable(keys))
+        walks[tuple(sizes), s, k] = sum(buckets.values()) // k
     for c, closed in closed_on.items():
         for a in range(1, sizes[c - 1] + 1):
             got = buckets[c, a]
@@ -312,12 +298,13 @@ def _eval_divisibility(n, s, k) -> IdentityReport:
 # the check registry: name -> (grid generator, its extra arguments, evaluator),
 # in canonical report order
 
+_N_M = (("n", "m"), (False, True))  # the fixed element's circle, then the other
 
 _CHECKS = {
     # closed single-circle count vs enumeration
-    "circle": (_gen_circle, (), _eval_circle),
+    "circle": (_gen_named, (("n",), (False,)), _eval_circle),
     # fixed-element count vs enumeration, every rotation
-    "circle-fixed": (_gen_circle, (), _eval_circle_fixed),
+    "circle-fixed": (_gen_named, (("n",), (False,)), _eval_circle_fixed),
     # closed multi-circle count vs enumeration
     "system": (_gen_systems, (False,), _eval_system),
     # fixed-element system count vs enumeration, every element
@@ -325,17 +312,17 @@ _CHECKS = {
     # one-circle-at-a-time recomputation vs direct fixed count
     "recursion": (_gen_recursion, (), _eval_recursion),
     # polynomial product of single-circle counts vs direct free count
-    "convolution": (_gen_pairs, (False, ("n1", "n2")), verify_convolution_identity),
+    "convolution": (_gen_named, (("n1", "n2"), (False, False)), verify_convolution_identity),
     # two-circle fixed-element sum identity (corrected)
-    "fixed-sum": (_gen_pairs, (True, ("n", "m")), verify_fixed_sum_identity),
+    "fixed-sum": (_gen_named, _N_M, verify_fixed_sum_identity),
     # the misprinted variant, reported for documentation
-    "fixed-sum-printed": (_gen_pairs, (True, ("n", "m")), verify_fixed_sum_printed),
+    "fixed-sum-printed": (_gen_named, _N_M, verify_fixed_sum_printed),
     # exhaustive forward/backward round trip per point
-    "bijection": (_gen_pairs, (True, ("n1", "n2")), _eval_bijection),
+    "bijection": (_gen_named, (("n1", "n2"), (False, True)), _eval_bijection),
     # k * free count == N * fixed count
     "double-count": (_gen_systems, (False,), _eval_double_count),
     # the divisors in the closed forms divide exactly
-    "divisibility": (_gen_circle, (), _eval_divisibility),
+    "divisibility": (_gen_named, (("n",), (False,)), _eval_divisibility),
 }
 
 CHECKS = tuple(_CHECKS)

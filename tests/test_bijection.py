@@ -174,6 +174,10 @@ def test_backward_validates_positions():
         backward((1, 9), SYS43, 1)
     with pytest.raises(DomainError, match="1@1"):
         backward((2, 5), SYS43, 1)
+    # no rounding: int() would read 4.7 as 4
+    for positions in ([1, 4.7], [1, 4.0], [1, "4"]):
+        with pytest.raises(ValueError, match="integer positions"):
+            backward(positions, SYS43, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ def test_element_validation():
         Element(1, 0)
     with pytest.raises(ValueError):
         Element(-3, 2)
+    # no rounding: Element(1.5, 1) would sit inside CircleSystem((3,))
+    for position, circle in ((1.5, 1), (1, 1.0), ("1", 1), (1, "2")):
+        with pytest.raises(ValueError, match="must be integers"):
+            Element(position, circle)
 
 
 def test_element_ordering_is_circle_then_position():
@@ -38,6 +42,11 @@ def test_system_validation():
         CircleSystem(())
     with pytest.raises(ValueError):
         CircleSystem((4, 0))
+    # no conversion: int() would read these as (8, 7)
+    for sizes in ("87", (8.9, 7), (8, 7.0), ("8", 7)):
+        with pytest.raises(ValueError, match="must be integers"):
+            CircleSystem(sizes)
+    assert CircleSystem([8, 7]).sizes == (8, 7)
     sys43 = CircleSystem((4, 3))
     assert sys43.num_circles == 2
     assert sys43.total == 7

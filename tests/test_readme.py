@@ -1,9 +1,11 @@
-"""The README's console examples, run through ``cli.main``.
+"""The README's examples: its console lines run through ``cli.main``, and its
+library quick start run as it stands.
 
 Every ``$ circsep ...`` line in a ``console`` block is one example; the lines
 under it, up to the next ``$`` line or the end of the block, are its output
 (stdout, then stderr).  A ``...`` line stands for any leading output: the
-example's output must end with the lines after it.
+example's output must end with the lines after it.  In the ``python`` block,
+an unindented ``expression  # value`` line shows the expression's ``str``.
 """
 
 import re
@@ -47,3 +49,15 @@ def test_readme_console_example(capsys, command, expected):
         assert lines[-len(expected[1:]):] == expected[1:]
     else:
         assert lines == expected
+
+
+def test_readme_python_block():
+    block, = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    shown = [line.partition("  # ") for line in block.splitlines()
+             if "  # " in line and not line.startswith((" ", "#"))]
+    assert len(shown) == 4
+    for code, _, value in shown:
+        assert str(eval(code, namespace)) == value, code
