@@ -109,15 +109,15 @@ def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
     _check_bounds(op, s, k, system.sizes, fixed=1)
 
 
-def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
+def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
                   s: int, direction: str) -> tuple[SwitchStep, ...]:
-    """Run one switch chain in place on ``{circle: set of positions}`` and
-    return its steps.  ``zig`` opens its windows on circle 2 at even steps,
-    ``zag`` on circle 1; everything else is identical.  The input is not
-    validated here: callers pass selections that meet zig's or zag's
-    preconditions."""
+    """Run one switch chain in place on a set of ``(circle, position)`` pairs,
+    the search's own keys, and return its steps.  ``zig`` opens its windows
+    on circle 2 at even steps, ``zag`` on circle 1; everything else is
+    identical.  The input is not validated here: callers pass selections that
+    meet zig's or zag's preconditions."""
     even_window_circle = 2 if direction == "zig" else 1
-    original = {(p, c) for c in (1, 2) for p in positions[c]}
+    original = set(selected)
     removed_pairs: set[tuple[int, int]] = set()
     # phantom seeds one past the top of each circle
     last_added = sizes[even_window_circle - 1] + 1
@@ -130,7 +130,7 @@ def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
         other_circle = 3 - window_circle
         hi = last_added - 1
         lo = max(1, last_added - s)
-        hits = [q for q in range(lo, hi + 1) if q in positions[window_circle]]
+        hits = [q for q in range(lo, hi + 1) if (window_circle, q) in selected]
         if not hits:
             break
         if len(hits) > 1:
@@ -140,29 +140,30 @@ def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
         removed = hits[0]
         gap = last_added - removed
         added = last_removed - gap
+        gone, new = (window_circle, removed), (other_circle, added)
         # structural guarantees of the switch chain; violations are bugs
         if gap > s:
             raise InvariantViolation(
                 f"{direction}: switch gap {gap} exceeds s={s}")
-        if (removed, window_circle) not in original:
+        if gone not in original:
             raise InvariantViolation(
                 f"{direction}: removed {removed}@{window_circle} was not part "
                 "of the input selection")
-        if (removed, window_circle) in removed_pairs:
+        if gone in removed_pairs:
             raise InvariantViolation(
                 f"{direction}: removed {removed}@{window_circle} twice")
-        if (removed, window_circle) == (1, 1):
+        if gone == (1, 1):
             raise InvariantViolation(f"{direction}: attempted to remove the anchor 1@1")
         if not 1 <= added <= sizes[other_circle - 1]:
             raise InvariantViolation(
                 f"{direction}: insertion position {added} outside circle {other_circle}")
-        if added in positions[other_circle]:
+        if new in selected:
             raise InvariantViolation(
                 f"{direction}: insertion {added}@{other_circle} collides with "
                 "an existing element")
-        positions[window_circle].remove(removed)
-        positions[other_circle].add(added)
-        removed_pairs.add((removed, window_circle))
+        selected.remove(gone)
+        selected.add(new)
+        removed_pairs.add(gone)
         steps.append(SwitchStep(index=i, window_circle=window_circle,
                                 window_lo=lo, window_hi=hi,
                                 removed=removed, gap=gap, added=added))
@@ -174,15 +175,11 @@ def _switch_chain(positions: dict[int, set[int]], sizes: tuple[int, int],
     return tuple(steps)
 
 
-def _pairs(positions: dict[int, set[int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((c, p) for c in (1, 2) for p in sorted(positions[c]))
-
-
 def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
                   direction: str) -> tuple[SelectionSet, ZigZagTrace]:
-    positions = {c: set(selection.positions_in(c)) for c in (1, 2)}
-    steps = _switch_chain(positions, system.sizes, s, direction)
-    return _selection(_pairs(positions)), ZigZagTrace(direction, steps)
+    selected = set(selection.key)
+    steps = _switch_chain(selected, system.sizes, s, direction)
+    return _selection(sorted(selected)), ZigZagTrace(direction, steps)
 
 
 def zig(selection: SelectionSet, system: CircleSystem, s: int
@@ -265,8 +262,8 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
     the codomain; and compares both sizes against the closed form
     ``C(n_1 + n_2 - s*k - 1, k - 1)``.
 
-    Each domain selection runs one zig chain and one zag chain, on raw
-    position sets, without zig's and zag's input checks: a domain selection
+    Each domain selection runs one zig chain and one zag chain, on the set of
+    its search keys, without zig's and zag's input checks: a domain selection
     is s-separated and holds 1@1 by construction, and an image is pulled
     back only after it is found in the codomain, which is exactly zag's
     precondition.  The structural checks inside the chain still run.  The
@@ -288,27 +285,26 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
 
     images = set()
     for pairs in domain:
-        positions = {1: {p for c, p in pairs if c == 1},
-                     2: {p for c, p in pairs if c == 2}}
+        selected = set(pairs)
         try:
-            zsteps = _switch_chain(positions, system.sizes, s, "zig")
+            zsteps = _switch_chain(selected, system.sizes, s, "zig")
         except InvariantViolation as exc:
             failures.append(f"zig({_selection(pairs)}) raised: {exc}")
             continue
-        image = (*sorted(positions[1]), *(n1 + p for p in sorted(positions[2])))
+        image = tuple(p if c == 1 else n1 + p for c, p in sorted(selected))
         if image not in codomain_keys:
             failures.append(
                 f"forward({_selection(pairs)}) = {image} is not in the codomain")
             continue
         images.add(image)
-        # ``positions`` now holds unflatten(image), zag's input
+        # ``selected`` now holds unflatten(image), zag's input
         try:
-            gsteps = _switch_chain(positions, system.sizes, s, "zag")
+            gsteps = _switch_chain(selected, system.sizes, s, "zag")
         except InvariantViolation as exc:
             unflat = SelectionSet(tuple(unflatten(p, system) for p in image))
             failures.append(f"zag({unflat}) raised: {exc}")
             continue
-        back = _pairs(positions)
+        back = tuple(sorted(selected))
         if back != pairs:
             failures.append(f"backward(forward({_selection(pairs)})) = "
                             f"{_selection(back)}, expected {_selection(pairs)}")

@@ -114,6 +114,7 @@ class SeparationParams:
     k: int
 
     def __post_init__(self) -> None:
+        _require_ints("SeparationParams", s=self.s, k=self.k)
         if self.s < 0:
             raise ValueError(f"s must be >= 0, got {self.s}")
         if self.k < 0:
@@ -181,6 +182,7 @@ def is_s_separated(selection: SelectionSet, system: CircleSystem, s: int) -> boo
     With s = 0 every duplicate-free selection qualifies.  Cross-circle pairs
     are unconstrained.
     """
+    _require_ints("is_s_separated", s=s)
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     for e in selection:
@@ -197,6 +199,14 @@ def is_s_separated(selection: SelectionSet, system: CircleSystem, s: int) -> boo
     return True
 
 
+def _require_ints(op: str, **values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an int;
+    range checks come after it, so a float never reaches ``range``."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{op} requires an integer {name}, got {name}={value!r}")
+
+
 def _least_size(s: int, k: int, beside_fixed: bool = False) -> int:
     """Least circle size the closed forms admit at (s, k): ``s*k + 1``, or
     ``s*k`` (and at least 1) on a circle beside the fixed element's."""
@@ -210,7 +220,9 @@ def _check_bounds(op: str, s: int, k: int, sizes=(), fixed: int | None = None,
     circle, is given), then ``_least_size`` on each of ``sizes``, labelled by
     ``names`` (``n_1 .. n_p`` when None) and followed by ``hint``.  Callers
     that check membership in between call it first without ``sizes``.
+    Non-integer s or k raise ValueError before any of these.
     """
+    _require_ints(op, s=s, k=k)
     if s < 0:
         raise DomainError(f"{op} requires s >= 0, got s={s}")
     if fixed is None and k < 0:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .bijection import check_bijectivity
 from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
-                   _least_size)
+                   _least_size, _require_ints)
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
@@ -71,12 +71,11 @@ class IdentityReport:
         }
 
 
-def _report(check: str, params: dict, left, right, counterexample: str = "",
-            reason: str = "") -> IdentityReport:
+def _report(check: str, params: dict, left, right,
+            counterexample: str = "") -> IdentityReport:
     left_s, right_s = str(left), str(right)
     return IdentityReport(check=check, params=params, left=left_s, right=right_s,
-                          passed=left_s == right_s, reason=reason,
-                          counterexample=counterexample)
+                          passed=left_s == right_s, counterexample=counterexample)
 
 
 def _skipped(check: str, params: dict, reason: str) -> IdentityReport:
@@ -162,33 +161,27 @@ def _gen_named(grid: SweepGrid, check: str, keys: tuple[str, ...],
             yield check, dict(zip(keys, sizes), s=s, k=k), None
 
 
-def _gen_systems(grid: SweepGrid, check: str, beside_fixed: bool):
-    """Multiset size tuples for p in {2, 3}, every size at least the least one
-    admitted free or (``beside_fixed``) beside a fixed element."""
+def _gen_systems(grid: SweepGrid, check: str, first_beside: bool,
+                 rest_beside: bool):
+    """Size tuples for p in {2, 3}: the first size runs up from the least one
+    admitted free or (``first_beside``) beside a fixed element, the others
+    from the least one for ``rest_beside``.  Equal bounds give multisets;
+    unequal ones give every ordered tail after each first size."""
     for s, k in _sk_grid(grid):
-        lo = _least_size(s, k, beside_fixed)
-        for p in (2, 3):
-            if lo > grid.max_size:
-                yield check, {"p": p, "s": s, "k": k}, \
-                    f"no circle size in [{lo}, {grid.max_size}]"
-                continue
-            for sizes in itertools.combinations_with_replacement(
-                    range(lo, grid.max_size + 1), p):
-                yield check, {"sizes": sizes, "s": s, "k": k}, None
-
-
-def _gen_recursion(grid: SweepGrid, check: str):
-    for s, k in _sk_grid(grid):
-        first_lo, rest_lo = _least_size(s, k), _least_size(s, k, True)
+        first_lo = _least_size(s, k, first_beside)
+        rest = range(_least_size(s, k, rest_beside), grid.max_size + 1)
         for p in (2, 3):
             if first_lo > grid.max_size:
                 yield check, {"p": p, "s": s, "k": k}, \
                     f"no circle size in [{first_lo}, {grid.max_size}]"
                 continue
-            rest = range(rest_lo, grid.max_size + 1)
-            for n1 in range(first_lo, grid.max_size + 1):
-                for tail in itertools.product(rest, repeat=p - 1):
-                    yield check, {"sizes": (n1, *tail), "s": s, "k": k}, None
+            if first_beside == rest_beside:
+                tuples = itertools.combinations_with_replacement(rest, p)
+            else:
+                tuples = itertools.product(range(first_lo, grid.max_size + 1),
+                                           *[rest] * (p - 1))
+            for sizes in tuples:
+                yield check, {"sizes": sizes, "s": s, "k": k}, None
 
 
 def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
@@ -306,11 +299,11 @@ _CHECKS = {
     # fixed-element count vs enumeration, every rotation
     "circle-fixed": (_gen_named, (("n",), (False,)), _eval_circle_fixed),
     # closed multi-circle count vs enumeration
-    "system": (_gen_systems, (False,), _eval_system),
+    "system": (_gen_systems, (False, False), _eval_system),
     # fixed-element system count vs enumeration, every element
-    "system-fixed": (_gen_systems, (True,), _eval_system_fixed),
+    "system-fixed": (_gen_systems, (True, True), _eval_system_fixed),
     # one-circle-at-a-time recomputation vs direct fixed count
-    "recursion": (_gen_recursion, (), _eval_recursion),
+    "recursion": (_gen_systems, (False, True), _eval_recursion),
     # polynomial product of single-circle counts vs direct free count
     "convolution": (_gen_named, (("n1", "n2"), (False, False)), verify_convolution_identity),
     # two-circle fixed-element sum identity (corrected)
@@ -320,7 +313,7 @@ _CHECKS = {
     # exhaustive forward/backward round trip per point
     "bijection": (_gen_named, (("n1", "n2"), (False, True)), _eval_bijection),
     # k * free count == N * fixed count
-    "double-count": (_gen_systems, (False,), _eval_double_count),
+    "double-count": (_gen_systems, (False, False), _eval_double_count),
     # the divisors in the closed forms divide exactly
     "divisibility": (_gen_named, (("n",), (False,)), _eval_divisibility),
 }
@@ -343,6 +336,8 @@ class SweepGrid:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        _require_ints("SweepGrid", max_size=self.max_size, max_k=self.max_k,
+                      max_s=self.max_s, jobs=self.jobs)
         if self.max_size < 1 or self.max_k < 1 or self.max_s < 1:
             raise ValueError("grid bounds must be >= 1")
         if self.jobs < 1:

@@ -162,6 +162,10 @@ def test_zig_rejects_empty_and_bad_shapes():
         zig(parse_selection("1@1"), CircleSystem((5,)), 1)
     with pytest.raises(DomainError, match="s >= 0"):
         zig(parse_selection("1@1,3@1"), SYS43, -1)
+    # checked before the sign, so 1.0 is no more accepted than -1
+    for run in (zig, zag):
+        with pytest.raises(ValueError, match="requires an integer s"):
+            run(parse_selection("1@1,4@2"), SYS54, 1.0)
 
 
 def test_zag_requires_separated_flattening():
@@ -219,11 +223,12 @@ def test_check_bijectivity_catches_a_broken_zag(monkeypatch, corruption):
     chain = bijection._switch_chain
     chosen = ((1, 1), (2, 6))  # 1@1,6@2: zig and zag each switch once
 
-    def broken(positions, sizes, s, direction):
-        steps = chain(positions, sizes, s, direction)
-        if direction == "zag" and bijection._pairs(positions) == chosen:
+    def broken(selected, sizes, s, direction):
+        steps = chain(selected, sizes, s, direction)
+        if direction == "zag" and tuple(sorted(selected)) == chosen:
             if corruption == "wrong set":
-                positions[2] = {5}
+                selected.remove((2, 6))
+                selected.add((2, 5))
             else:
                 steps = steps[:-1]
         return steps
@@ -283,6 +288,8 @@ def test_check_bijectivity_domain_errors():
         check_bijectivity(SYS43, 2, 2)  # n_1 = 4 < s*k + 1
     with pytest.raises(DomainError):
         check_bijectivity(SYS43, 1, 0)
+    with pytest.raises(ValueError, match="requires an integer k"):
+        check_bijectivity(SYS54, 1, 2.0)
     with pytest.raises(DomainError):
         check_bijectivity(CircleSystem((5, 5, 5)), 1, 2)
     # either side of n_1 >= s*k+1 and n_2 >= s*k at s = 1, k = 2

@@ -78,6 +78,10 @@ def test_separation_params_validation():
         SeparationParams(-1, 2)
     with pytest.raises(ValueError):
         SeparationParams(1, -2)
+    # no float reaches range(): the type is checked before the sign
+    for s, k in ((1.5, 2), (1, 2.0), (-1.0, 2), ("1", 2)):
+        with pytest.raises(ValueError, match="requires an integer"):
+            SeparationParams(s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,9 @@ def test_separation_monotone_in_subsets():
 def test_separation_rejects_negative_s():
     with pytest.raises(ValueError):
         is_s_separated(SelectionSet(), CircleSystem((4,)), -1)
+    # a float s used to be compared as a threshold between two integers
+    with pytest.raises(ValueError, match="requires an integer s"):
+        is_s_separated(parse_selection("1@1,3@1"), CircleSystem((6,)), 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,24 @@ def test_convolution_domain_error():
         count_system_convolution(CircleSystem((4, 9)), 2, 2)
 
 
+@pytest.mark.parametrize("count", [
+    lambda s, k: count_circle(8, s, k),
+    lambda s, k: count_circle_fixed(8, s, k),
+    lambda s, k: count_system(CircleSystem((8, 7)), s, k),
+    lambda s, k: count_system_fixed(CircleSystem((8, 7)), s, k, Element(1, 1)),
+    lambda s, k: count_system_fixed_recursive(CircleSystem((8, 7)), s, k),
+    lambda s, k: count_system_convolution(CircleSystem((8, 7)), s, k),
+    lambda s, k: count_by_enumeration(
+        EnumerationRequest(CircleSystem((8, 7)), SeparationParams(s, k))),
+], ids=["circle", "circle_fixed", "system", "system_fixed", "fixed_recursive",
+        "convolution", "enumeration"])
+def test_counts_reject_non_integer_s_and_k(count):
+    for s, k in ((1.5, 2), (1, 2.0), (-1.0, 2)):
+        with pytest.raises(ValueError, match="requires an integer") as info:
+            count(s, k)
+        assert not isinstance(info.value, DomainError)
+
+
 def test_s0_reduces_to_plain_binomials():
     # with no separation the count is just C(N, k), however the circles split
     for n1, n2, k in ((5, 4, 3), (6, 6, 2), (3, 7, 4)):

@@ -30,6 +30,9 @@ def test_fixed_sum_identity_preconditions():
         verify_fixed_sum_identity(1, 5, 2, 2)
     with pytest.raises(DomainError):
         verify_fixed_sum_identity(4, 4, 1, 0)
+    for identity in (verify_fixed_sum_identity, verify_fixed_sum_printed):
+        with pytest.raises(ValueError, match="requires an integer k"):
+            identity(7, 8, 1, 2.0)
     assert verify_fixed_sum_identity(4, 5, 2, 2).passed  # m = s*k, n = s*k+1
 
 
@@ -73,6 +76,9 @@ def test_grid_validation():
         SweepGrid(max_size=0)
     with pytest.raises(ValueError, match="at least one check"):
         SweepGrid(checks=())  # an empty sweep would pass vacuously
+    for bounds in ({"max_size": 4.5}, {"max_k": 2.0}, {"max_s": "2"}, {"jobs": 2.0}):
+        with pytest.raises(ValueError, match="SweepGrid requires an integer"):
+            SweepGrid(**bounds)
     with pytest.raises(ValueError, match="check names, not a string"):
         SweepGrid(checks="circle")  # would otherwise be read letter by letter
 
