@@ -4,10 +4,11 @@ Four subcommands cover the library surface:
 
 * ``count``      exact counts via closed forms, recursion, convolution, or
                  streaming enumeration
-* ``enumerate``  list the selections themselves, streamed line by line from
-                 the search's raw (circle, position) tuples
-                 (``enumeration.selection_keys``) with no selection objects
-                 built; ``enumeration.enumerate_gap`` is the object API
+* ``enumerate``  list the selections themselves, streamed from the search's
+                 raw (circle, position) tuples (``enumeration.selection_keys``)
+                 with no selection objects built: the first line is written
+                 at once, the rest in blocks of lines;
+                 ``enumeration.enumerate_gap`` is the object API
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
 * ``verify``     sweep the identity checks over a parameter grid
@@ -166,21 +167,36 @@ def _cmd_count(args) -> int:
     return 0
 
 
+class _Labels(dict):
+    """Each (circle, position) pair's text as ``Element.__str__`` writes it,
+    built the first time the pair is looked up; holds only pairs seen."""
+
+    def __missing__(self, pair):
+        c, p = pair
+        label = self[pair] = f"{p}@{c}"
+        return label
+
+
+_BLOCK = 2048  # lines per write after the first
+
+
 def _cmd_enumerate(args) -> int:
     system = CircleSystem(args.sizes)
     stream = selection_keys(EnumerationRequest(
         system, SeparationParams(args.s, args.k), args.fixed))
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
-    # each (circle, position) pair as Element.__str__ writes it
-    rows = ([f"{p}@{c}" for c, p in pairs] for pairs in stream)
+    label = _Labels().__getitem__
     write = sys.stdout.write
     if args.format == "json":
-        write(_json_dump(list(rows)) + "\n")
-    else:
-        # text; also CSV, whose writer would not quote these fields
-        for row in rows:
-            write(",".join(row) + "\n")
+        write(_json_dump([list(map(label, pairs)) for pairs in stream]) + "\n")
+        return 0
+    # text; also CSV, whose writer would not quote these fields
+    lines = (",".join(map(label, pairs)) for pairs in stream)
+    for line in itertools.islice(lines, 1):  # the first line as soon as found
+        write(line + "\n")
+    while block := list(itertools.islice(lines, _BLOCK)):
+        write("\n".join(block) + "\n")
     return 0
 
 

@@ -220,9 +220,13 @@ def _check_bounds(op: str, s: int, k: int, sizes=(), fixed: int | None = None,
     circle, is given), then ``_least_size`` on each of ``sizes``, labelled by
     ``names`` (``n_1 .. n_p`` when None) and followed by ``hint``.  Callers
     that check membership in between call it first without ``sizes``.
-    Non-integer s or k raise ValueError before any of these.
+    A non-integer s or k, or a non-integer size given with ``names`` (a bare
+    number, not the size of a checked ``CircleSystem``), raises ValueError
+    before any of these.
     """
     _require_ints(op, s=s, k=k)
+    if names:
+        _require_ints(op, **dict(zip(names, sizes)))
     if s < 0:
         raise DomainError(f"{op} requires s >= 0, got s={s}")
     if fixed is None and k < 0:

@@ -7,16 +7,17 @@ search over the canonical (circle, position) order: each depth picks the next
 element after the previous one, on the same circle at least ``s + 1`` further
 on and within the wrap-around gap back to that circle's first pick, or on a
 later circle.  A branch is cut as soon as the circles left cannot hold the
-rest of k.  The last depth is one loop over its candidates, each completing a
-selection.  Both yield selections in lexicographic order of the canonical
-(circle, position) serialization, so output is deterministic and directly
-comparable.
+rest of k.  The last depth is one ``range`` of positions per circle, each
+position completing a selection.  Both yield selections in lexicographic
+order of the canonical (circle, position) serialization, so output is
+deterministic and directly comparable.
 
 ``selection_keys`` streams the search's raw output, one increasing tuple of
 (circle, position) pairs per selection, and is what every consumer reads:
 ``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``;
 ``count_by_enumeration`` counts the tuples; the ``enumerate`` command formats
-them straight to text.
+them straight to text, writing the first line at once and the rest in blocks
+of lines.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def enumerate_naive(request: EnumerationRequest):
 
 def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
            first: int, rem: int):
-    """Candidates ``((circle, position), first)`` for the pick after ``last``,
-    in canonical order; ``first`` is the first pick on the candidate's circle.
+    """Candidates ``((circle, position), first)`` for the pick after ``last``
+    at every depth but the last (unless k = 1), in canonical order; ``first``
+    is the first pick on the candidate's circle.
     No candidate leaves too little room for the ``rem`` picks still to follow:
     the circles after ``c`` hold at most ``after[c]``, the rest must fit on ``c``.
     """
@@ -107,8 +109,11 @@ def selection_keys(request: EnumerationRequest):
     wrap-around bound back to the circle's first pick; every other pair is
     then farther apart.  A circle of size n holds at most ``max(1, n // (s+1))``
     picks.  Until ``fixed`` is taken, the first candidate past it ends its
-    depth.  The last depth is one loop, not a stack entry; while ``fixed`` is
-    pending it yields only the fixed pair.
+    depth.  The last depth is not a stack entry: it yields from one ``range``
+    per circle, from just past the last pick to the wrap-around bound on that
+    pick's circle and over every position of each later circle.  While
+    ``fixed`` is pending there, the fixed pair alone is tested: it completes
+    a selection on a later circle, or on the same one within those bounds.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -140,15 +145,20 @@ def selection_keys(request: EnumerationRequest):
         elif len(path) == k:  # k == 1: the first depth is the last
             if pending is None:
                 yield (pair,)
-        else:  # the last depth, in one loop
+        else:  # the last depth: one range per circle, no candidate tuples
             base = tuple(path)
-            for last, _ in _picks(sizes, gap, after, pair, first, 0):
-                if pending is None:
-                    yield base + (last,)
-                elif last >= pending:  # only the fixed pair itself completes
-                    if last == pending:
-                        yield base + (last,)
-                    break
+            c0, q0 = pair
+            n = sizes[c0 - 1]
+            hi = min(n, first + n - gap)
+            if pending is not None:  # only the fixed pair itself completes
+                if pending[0] > c0 or q0 + gap <= pending[1] <= hi:
+                    yield base + (pending,)
+                continue
+            for q in range(q0 + gap, hi + 1):
+                yield base + ((c0, q),)
+            for c in range(c0 + 1, len(sizes) + 1):
+                for q in range(1, sizes[c - 1] + 1):
+                    yield base + ((c, q),)
 
 
 def enumerate_gap(request: EnumerationRequest):

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 from math import comb
 
 import pytest
@@ -201,6 +202,59 @@ def test_enumerate_prints_what_the_library_formats(query):
     if fmt is not None:
         argv += ["--format", fmt]
     assert call(argv) == (0, library_output(sizes, s, k, fixed, limit, fmt), "")
+
+
+class RecordingStdout:
+    """A stdout stand-in that keeps each ``write`` separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("limit", [0, 1, 2, 2048, 2049, 4097, None])
+def test_enumerate_writes_the_first_line_alone_then_whole_blocks(fmt, limit):
+    # 5,814 selections: without --limit the last block is a partial one
+    sizes, s, k = (12, 12), 1, 4
+    argv = ["enumerate", "--sizes", "12,12", "--s", "1", "--k", "4",
+            "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    out = RecordingStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    expected = library_output(sizes, s, k, None, limit, fmt)
+    assert "".join(out.writes) == expected
+    # the first line alone (JSON is one line, in one write)
+    assert out.writes[:1] == expected.splitlines(keepends=True)[:1]
+    # every later write is whole lines: full blocks, the last possibly short
+    blocks = out.writes[1:]
+    assert all(block.endswith("\n") for block in blocks)
+    lines = [block.count("\n") for block in blocks]
+    assert lines[:-1] == [cli._BLOCK] * (len(lines) - 1)
+    assert all(0 < n <= cli._BLOCK for n in lines)
+
+
+def test_enumerate_limit_allocates_nothing_per_position():
+    # a million positions on one circle: the first selections come straight
+    # from the search, with no table built over the circle
+    argv = ["enumerate", "--sizes", "1000000", "--s", "1", "--k", "2",
+            "--limit", "3"]
+    tracemalloc.start()
+    try:
+        result = call(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "1@1,3@1\n1@1,4@1\n1@1,5@1\n", "")
+    assert peak < 2**20
 
 
 def test_enumerate_streams():

@@ -243,6 +243,15 @@ def test_counts_reject_non_integer_s_and_k(count):
         assert not isinstance(info.value, DomainError)
 
 
+def test_bare_circle_sizes_reject_non_integers():
+    # a size given as a bare number never reaches binomial as a float
+    for count, n in ((count_circle, 8.0), (count_circle_fixed, 8.5),
+                     (count_circle, "8")):
+        with pytest.raises(ValueError, match="requires an integer n") as info:
+            count(n, 1, 2)
+        assert not isinstance(info.value, DomainError)
+
+
 def test_s0_reduces_to_plain_binomials():
     # with no separation the count is just C(N, k), however the circles split
     for n1, n2, k in ((5, 4, 3), (6, 6, 2), (3, 7, 4)):

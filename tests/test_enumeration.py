@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from circsep.counting import (count_circle, count_circle_fixed, count_system,
                               count_system_convolution, count_system_fixed,
                               count_system_fixed_recursive)
 from circsep.enumeration import (EnumerationRequest, count_by_enumeration,
-                                 enumerate_gap, enumerate_naive)
+                                 enumerate_gap, enumerate_naive, selection_keys)
 
 
 def request(sizes, s, k, fixed=None):
@@ -120,6 +121,24 @@ def test_gap_matches_naive_with_fixed():
                         req = request(sizes, s, k, fixed)
                         assert list(enumerate_gap(req)) == list(enumerate_naive(req)), \
                             (sizes, s, k, str(fixed))
+
+
+def test_fixed_pending_at_the_last_depth_matches_naive():
+    # the last depth tests a still-pending fixed pair alone: every element of
+    # every ordered system of up to 3 circles of sizes 1..6, s <= 2, k <= 4
+    for p in range(1, 4):
+        for sizes in itertools.product(range(1, 7), repeat=p):
+            for s in range(3):
+                for k in range(1, 5):
+                    # naive's free family by element: its filter for each fixed
+                    through = defaultdict(list)
+                    for sel in enumerate_naive(request(sizes, s, k)):
+                        key = sel.key
+                        for pair in key:
+                            through[pair].append(key)
+                    for fixed in CircleSystem(sizes).elements():
+                        got = list(selection_keys(request(sizes, s, k, fixed)))
+                        assert got == through[fixed.key], (sizes, s, k, str(fixed))
 
 
 def test_gap_matches_naive_spot_checks():

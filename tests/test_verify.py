@@ -33,6 +33,10 @@ def test_fixed_sum_identity_preconditions():
     for identity in (verify_fixed_sum_identity, verify_fixed_sum_printed):
         with pytest.raises(ValueError, match="requires an integer k"):
             identity(7, 8, 1, 2.0)
+        for m, n, name in ((7.0, 8, "m"), (7, 8.0, "n")):
+            with pytest.raises(ValueError, match=f"requires an integer {name}") as info:
+                identity(m, n, 1, 2)
+            assert not isinstance(info.value, DomainError)
     assert verify_fixed_sum_identity(4, 5, 2, 2).passed  # m = s*k, n = s*k+1
 
 
