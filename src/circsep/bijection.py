@@ -112,22 +112,19 @@ def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
 def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
                   s: int, direction: str) -> tuple[SwitchStep, ...]:
     """Run one switch chain in place on a set of ``(circle, position)`` pairs,
-    the search's own keys, and return its steps.  ``zig`` opens its windows
-    on circle 2 at even steps, ``zag`` on circle 1; everything else is
-    identical.  The input is not validated here: callers pass selections that
+    the search's own keys, and return its steps.  ``zig`` opens its first
+    window on circle 2, ``zag`` on circle 1; the circles swap after every
+    switch.  The input is not validated here: callers pass selections that
     meet zig's or zag's preconditions."""
-    even_window_circle = 2 if direction == "zig" else 1
+    window_circle, other_circle = (2, 1) if direction == "zig" else (1, 2)
     original = set(selected)
     removed_pairs: set[tuple[int, int]] = set()
     # phantom seeds one past the top of each circle
-    last_added = sizes[even_window_circle - 1] + 1
-    last_removed = sizes[2 - even_window_circle] + 1
+    last_added = sizes[window_circle - 1] + 1
+    last_removed = sizes[other_circle - 1] + 1
     k = len(original)
     steps: list[SwitchStep] = []
     while True:
-        i = len(steps)
-        window_circle = even_window_circle if i % 2 == 0 else 3 - even_window_circle
-        other_circle = 3 - window_circle
         hi = last_added - 1
         lo = max(1, last_added - s)
         hits = [q for q in range(lo, hi + 1) if (window_circle, q) in selected]
@@ -164,7 +161,7 @@ def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
         selected.remove(gone)
         selected.add(new)
         removed_pairs.add(gone)
-        steps.append(SwitchStep(index=i, window_circle=window_circle,
+        steps.append(SwitchStep(index=len(steps), window_circle=window_circle,
                                 window_lo=lo, window_hi=hi,
                                 removed=removed, gap=gap, added=added))
         if len(steps) > k - 1:
@@ -172,6 +169,7 @@ def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
                 f"{direction}: executed {len(steps)} switches on a size-{k} "
                 "selection, expected at most k-1")
         last_removed, last_added = removed, added
+        window_circle, other_circle = other_circle, window_circle
     return tuple(steps)
 
 

@@ -17,7 +17,9 @@ Counts are printed as exact decimal strings (never floats), output for a fixed
 invocation is byte-deterministic, and exit codes are stable: 0 success,
 1 failed verification, 2 usage error, 3 parameter outside an operation's
 precondition (the violated bound is named), 4 internal error (a broken
-internal invariant, i.e. a bug in circsep).  A command line that argparse
+internal invariant, i.e. a bug in circsep), 141 stdout closed by its reader
+(as in ``circsep enumerate ... | head``; nothing is printed, and 141 is what a
+shell reports for a writer killed by SIGPIPE).  A command line that argparse
 cannot parse prints its usage first; every failure after parsing prints one
 line on stderr, ``error: <message>`` (``internal error: ...`` for exit 4).
 """
@@ -25,8 +27,10 @@ line on stderr, ``error: <message>`` (``internal error: ...`` for exit 4).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import sys
 
 from .bijection import zag, zig
@@ -260,7 +264,9 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SystemExit as exc:  # argparse: --help, or a line it cannot parse
         return int(exc.code or 0)
     except DomainError as exc:
@@ -272,6 +278,13 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # send the rest of the buffer nowhere, so the flush at exit is quiet
+        with contextlib.suppress(AttributeError, OSError):  # no descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

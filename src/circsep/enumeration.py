@@ -101,19 +101,21 @@ def selection_keys(request: EnumerationRequest):
     position) pairs, the same sets in the same order as ``enumerate_gap``,
     without building an ``Element`` or a ``SelectionSet``.
 
-    A depth-first search on an explicit stack of candidate iterators, one per
-    open depth: depth d takes the d-th element of the selection, always after
-    the one before it, so selections come out in lexicographic order.  For
-    positions increasing on one circle it is enough that consecutive picks
-    differ by at least s + 1 and that none passes ``first + n - (s + 1)``, the
-    wrap-around bound back to the circle's first pick; every other pair is
-    then farther apart.  A circle of size n holds at most ``max(1, n // (s+1))``
-    picks.  Until ``fixed`` is taken, the first candidate past it ends its
-    depth.  The last depth is not a stack entry: it yields from one ``range``
-    per circle, from just past the last pick to the wrap-around bound on that
-    pick's circle and over every position of each later circle.  While
-    ``fixed`` is pending there, the fixed pair alone is tested: it completes
-    a selection on a later circle, or on the same one within those bounds.
+    A depth-first search on an explicit stack, one entry per open depth: its
+    candidate iterator, the picks before it, and ``fixed`` until one of those
+    is it, so a pop restores nothing.  Depth d takes the d-th element of the
+    selection, always after the one before it, so selections come out in
+    lexicographic order.  For positions increasing on one circle it is enough
+    that consecutive picks differ by at least s + 1 and that none passes
+    ``first + n - (s + 1)``, the wrap-around bound back to the circle's first
+    pick; every other pair is then farther apart.  A circle of size n holds at
+    most ``max(1, n // (s+1))`` picks.  Until ``fixed`` is taken, the first
+    candidate past it ends its depth.  The last depth is not a stack entry: it
+    yields from one ``range`` per circle, from just past the last pick to the
+    wrap-around bound on that pick's circle and over every position of each
+    later circle.  While ``fixed`` is pending there, the fixed pair alone is
+    tested: it completes a selection on a later circle, or on the same one
+    within those bounds.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -125,40 +127,35 @@ def selection_keys(request: EnumerationRequest):
     after = [0] * (len(sizes) + 1)  # after[c]: most picks circles > c can hold
     for c in range(len(sizes) - 1, -1, -1):
         after[c] = after[c + 1] + max(1, sizes[c] // gap)
-    path: list[tuple[int, int]] = []  # the chosen pairs, one per open depth
-    stack = [_picks(sizes, gap, after, (0, 0), 0, k - 1)]
-    pending = fixed  # the fixed pair until it is chosen
+    stack = [(_picks(sizes, gap, after, (0, 0), 0, k - 1), (), fixed)]
     while stack:
-        if len(path) == len(stack):  # the deepest depth moves past its pick
-            if path.pop() == fixed:
-                pending = fixed
-        pick = next(stack[-1], None)
+        candidates, prefix, pending = stack[-1]
+        pick = next(candidates, None)
         if pick is None or (pending is not None and pick[0] > pending):
             stack.pop()
             continue
         pair, first = pick
-        path.append(pair)
-        if pair == pending:
-            pending = None
+        path = prefix + (pair,)
+        pending = None if pair == pending else pending
         if len(path) < k - 1:
-            stack.append(_picks(sizes, gap, after, pair, first, k - len(path) - 1))
+            stack.append((_picks(sizes, gap, after, pair, first, k - len(path) - 1),
+                          path, pending))
         elif len(path) == k:  # k == 1: the first depth is the last
             if pending is None:
-                yield (pair,)
+                yield path
         else:  # the last depth: one range per circle, no candidate tuples
-            base = tuple(path)
             c0, q0 = pair
             n = sizes[c0 - 1]
             hi = min(n, first + n - gap)
             if pending is not None:  # only the fixed pair itself completes
                 if pending[0] > c0 or q0 + gap <= pending[1] <= hi:
-                    yield base + (pending,)
+                    yield path + (pending,)
                 continue
             for q in range(q0 + gap, hi + 1):
-                yield base + ((c0, q),)
+                yield path + ((c0, q),)
             for c in range(c0 + 1, len(sizes) + 1):
                 for q in range(1, sizes[c - 1] + 1):
-                    yield base + ((c, q),)
+                    yield path + ((c, q),)
 
 
 def enumerate_gap(request: EnumerationRequest):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -275,6 +276,44 @@ def test_enumerate_streams():
             timer.cancel()
             proc.kill()
     assert line == first
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # a reader that stops after one line, like ``| head -1``
+    (["enumerate", "--sizes", "200,200,200", "--s", "1", "--k", "10"], 1),
+    # a reader gone before the first write: the output waits in stdout's
+    # buffer until the end of main flushes it
+    (["count", "--sizes", "10", "--s", "1", "--k", "3"], 0),
+])
+def test_closed_stdout_exits_141_quietly(argv, lines):
+    # no traceback, and not exit 1, which means a failed verification
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "circsep", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait()
+        finally:
+            timer.cancel()
+    assert (rc, err) == (141, "")
+
+
+def test_closed_stdout_without_a_descriptor_exits_141():
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+        rc = cli.main(["count", "--sizes", "10", "--s", "1", "--k", "3"])
+    assert (rc, err.getvalue()) == (141, "")
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +593,38 @@ def cli_argvs(draw):
 def test_random_argv_exits_with_a_defined_code(argv):
     # 1 means a failed verification, which none of these commands runs
     assert call(argv)[0] in {0, 2, 3, 4}
+
+
+_BAD_COUNTS = _BAD_NUMBERS | st.just("0")  # --max-* and --jobs need >= 1
+_BOUNDS = _mostly(st.integers(1, 4).map(str), _BAD_COUNTS)
+_VERIFY = {
+    "--max-size": _BOUNDS, "--max-k": _BOUNDS, "--max-s": _BOUNDS,
+    # real and unknown names, empty pieces, so stray and doubled commas
+    "--checks": st.lists(st.sampled_from(cli.CHECKS)
+                         | st.sampled_from(("nope", "Circle", "", " ")),
+                         max_size=4).map(",".join),
+    "--format": _FORMATS,
+    # one worker or malformed text, never more than one worker
+    "--jobs": _mostly(st.just("1"), _BAD_COUNTS),
+}
+
+
+@st.composite
+def verify_argvs(draw):
+    """Random ``verify`` argv on grids of at most 4 per bound (every bound is
+    given, so the default grid never runs), in any order."""
+    argv = ["verify"]
+    for flag in draw(st.permutations(sorted(_VERIFY))):
+        if flag.startswith("--max-") or draw(st.booleans()):
+            argv += [flag, draw(_VERIFY[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_argvs())
+def test_random_verify_argv_exits_0_or_2(argv):
+    # every check passes on a correct tree, so 1 would be a false failure
+    assert call(argv)[0] in {0, 2}
 
 
 def test_module_entry_point():

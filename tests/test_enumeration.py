@@ -141,6 +141,29 @@ def test_fixed_pending_at_the_last_depth_matches_naive():
                         assert got == through[fixed.key], (sizes, s, k, str(fixed))
 
 
+@st.composite
+def fixed_requests(draw):
+    """Up to 4 circles, s <= 3, k <= 6 and at most 20,000 k-subsets of the
+    ground set, with a fixed element drawn mostly from the last circle, where
+    it stays pending through the most depths."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    assume(comb(sum(sizes), k) <= 20_000)
+    circle = draw(st.just(len(sizes)) | st.integers(1, len(sizes)))
+    fixed = Element(draw(st.integers(1, sizes[circle - 1])), circle)
+    return request(sizes, draw(st.integers(0, 3)), k, fixed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_requests())
+def test_fixed_search_is_the_free_search_filtered(req):
+    # each depth carries its own pending pair; only k >= 5 takes the fixed
+    # pair at depth 3 or 4 and still pushes a depth below it
+    free = request(req.system.sizes, req.params.s, req.params.k)
+    expected = [pairs for pairs in selection_keys(free) if req.fixed.key in pairs]
+    assert list(selection_keys(req)) == expected
+
+
 def test_gap_matches_naive_spot_checks():
     for sizes, s, k in (([8, 7], 2, 3), ([6, 5, 4], 1, 4), ([9, 2], 3, 2)):
         req = request(sizes, s, k)
