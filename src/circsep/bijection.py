@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, _check_bounds,
                    _require_two_circles, flatten, is_s_separated, unflatten)
-from .counting import binomial
+from .counting import count_system_fixed
 from .enumeration import EnumerationRequest, _selection, selection_keys
 
 
@@ -276,10 +276,9 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
     params = SeparationParams(s, k)
     domain = list(selection_keys(EnumerationRequest(system, params, Element(1, 1))))
     combined = CircleSystem((n1 + n2,))
-    codomain = [tuple(p for _, p in pairs) for pairs in selection_keys(
-        EnumerationRequest(combined, params, Element(1, 1)))]
-    codomain_keys = set(codomain)
-    expected = binomial(n1 + n2 - s * k - 1, k - 1)
+    codomain = {tuple(p for _, p in pairs) for pairs in selection_keys(
+        EnumerationRequest(combined, params, Element(1, 1)))}
+    expected = count_system_fixed(system, s, k, Element(1, 1))
 
     images = set()
     for pairs in domain:
@@ -290,7 +289,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
             failures.append(f"zig({_selection(pairs)}) raised: {exc}")
             continue
         image = tuple(p if c == 1 else n1 + p for c, p in sorted(selected))
-        if image not in codomain_keys:
+        if image not in codomain:
             failures.append(
                 f"forward({_selection(pairs)}) = {image} is not in the codomain")
             continue
@@ -320,7 +319,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
         failures.append(
             f"forward is not injective: {len(domain)} inputs, "
             f"{len(images)} distinct images")
-    missing = codomain_keys - images
+    missing = codomain - images
     if missing:
         failures.append(
             f"forward is not surjective: {len(missing)} codomain sets missed, "

@@ -19,10 +19,11 @@ first and divided last; the division is asserted exact, so a failed
 divisibility can never round silently.
 
 ``count_system_convolution`` and ``count_system_fixed_recursive`` recompute
-the free and the fixed count from single-circle counts alone: coefficient j
-of a circle's polynomial counts the ways to put j elements on it, and the
-system's count is the coefficient of x^k in the product of those polynomials.
-Both exist to be checked against the direct forms.
+the free and the fixed count from single-circle counts alone, to be checked
+against the direct forms: coefficient j of a circle's polynomial counts the
+ways to put j elements on it, the free count is the coefficient of x^k in the
+product of those polynomials, and the fixed count peels the fixed circle off
+the product of the others.  Both cost O(p*min(k, N)^2) for p circles.
 """
 
 from __future__ import annotations
@@ -97,32 +98,31 @@ def count_system(system: CircleSystem, s: int, k: int) -> int:
     return _exact_div(total * binomial(total - s * k - 1, k - 1), k, "count_system")
 
 
-def _spread(factors, k: int) -> int:
-    """Coefficient of x^k in the product of the per-circle polynomials
-    ``factors``, where coefficient j of a factor counts the ways to put j of
-    the k elements on that circle.  Products are truncated at degree k, so
-    this costs O(p*k^2) for p circles however many ways there are to spread k.
-    """
+def _spread(factors, k: int) -> list[int]:
+    """The product of the per-circle polynomials ``factors``, where
+    coefficient j counts the ways to put j elements on the circles, truncated
+    at degree k: O(p*k^2) for p circles, however many ways there are to spread k."""
     product = [1] + [0] * k
     for factor in factors:
         product = [sum(product[i] * factor[j - i] for i in range(j + 1))
                    for j in range(k + 1)]
-    return product[k]
+    return product
 
 
 def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
-    """Fixed-element count through (1,1), recomputed one circle at a time:
-    the polynomial product of ``count_circle_fixed`` on the first circle
-    (0 at j = 0) and ``count_circle`` on every other circle (0 at j = k, as
-    the fixed element leaves room for at most k - 1 there).  Preconditions
-    match ``count_system_fixed`` with ``fixed = 1@1``.
+    """Fixed-element count through (1,1), with the first circle peeled off:
+    the sum over j of ``count_circle_fixed`` for j elements on the first circle
+    times the coefficient of x^(k-j) in the ``count_circle`` product of the
+    others, O(p*min(k, N)^2).  Preconditions match ``count_system_fixed`` with
+    ``fixed = 1@1``.
     """
     _check_bounds("count_system_fixed_recursive", s, k, system.sizes, fixed=1,
                   hint=_HINT)
+    if k > system.total:
+        return 0
     first, *rest = system.sizes
-    factors = [[0] + [count_circle_fixed(first, s, j) for j in range(1, k + 1)]]
-    factors += [[count_circle(n, s, j) for j in range(k)] + [0] for n in rest]
-    return _spread(factors, k)
+    others = _spread([[count_circle(n, s, j) for j in range(k)] for n in rest], k - 1)
+    return sum(count_circle_fixed(first, s, j) * others[k - j] for j in range(1, k + 1))
 
 
 def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
@@ -131,5 +131,7 @@ def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
     single-circle factor is in its exact range); k = 0 gives 1.
     """
     _check_bounds("count_system_convolution", s, k, system.sizes, hint=_HINT)
+    if k > system.total:
+        return 0
     return _spread([[count_circle(n, s, j) for j in range(k + 1)]
-                    for n in system.sizes], k)
+                    for n in system.sizes], k)[k]

@@ -39,7 +39,7 @@ from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, selection_keys
+from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 
@@ -203,8 +203,8 @@ def _oracle_count(sizes, s, k, walks=None) -> int:
     key = (tuple(sizes), s, k)
     if walks and key in walks:
         return walks.pop(key)
-    return sum(1 for _ in selection_keys(EnumerationRequest(
-        CircleSystem(key[0]), SeparationParams(s, k))))
+    return count_by_enumeration(EnumerationRequest(
+        CircleSystem(key[0]), SeparationParams(s, k)))
 
 
 def _bucket_report(check: str, params: dict, sizes, s, k, closed_on: dict,

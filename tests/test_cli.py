@@ -73,6 +73,14 @@ def test_count_methods_agree(capsys):
                "--method", "enumerate")[:2] == (0, "28\n")
 
 
+def test_count_recomputations_stop_at_the_system_size(capsys):
+    # s = 0 admits any k; past N = 15 both recomputations answer 0 at once
+    base = ("count", "--sizes", "8,7", "--s", "0", "--k", "1000000000")
+    assert run(capsys, *base, "--method", "convolution") == (0, "0\n", "")
+    assert run(capsys, *base, "--method", "recursive",
+               "--fixed", "1@1") == (0, "0\n", "")
+
+
 def test_count_enumerate_covers_what_closed_forms_refuse(capsys):
     rc, out, err = run(capsys, "count", "--sizes", "4", "--s", "2", "--k", "2")
     assert rc == 3

@@ -187,13 +187,17 @@ def test_recursive_decomposition_terms():
 
 
 def test_recursive_matches_direct():
-    for s in (1, 2):
+    # p = 1 is the fixed circle alone; the circles beside it may hold s*k
+    for s in (0, 1, 2):
         for k in (1, 2, 3):
             lo = s * k + 1
-            for sizes in itertools.combinations_with_replacement(range(lo, 9), 2):
-                system = CircleSystem(sizes)
-                assert (count_system_fixed_recursive(system, s, k)
-                        == count_system_fixed(system, s, k, Element(1, 1)))
+            for p in (1, 2, 3, 4):
+                for first in range(lo, 9):
+                    for rest in itertools.combinations_with_replacement(
+                            range(max(lo - 1, 1), 9), p - 1):
+                        system = CircleSystem((first, *rest))
+                        assert (count_system_fixed_recursive(system, s, k)
+                                == count_system_fixed(system, s, k, Element(1, 1)))
     assert (count_system_fixed_recursive(CircleSystem((5, 4, 6)), 1, 3)
             == count_system_fixed(CircleSystem((5, 4, 6)), 1, 3, Element(1, 1)))
 
@@ -253,9 +257,15 @@ def test_bare_circle_sizes_reject_non_integers():
 
 
 def test_s0_reduces_to_plain_binomials():
-    # with no separation the count is just C(N, k), however the circles split
+    # with no separation the count is just C(N, k), however the circles split,
+    # and C(N - 1, k - 1) through 1@1; both are 0 once k passes N
     for n1, n2, k in ((5, 4, 3), (6, 6, 2), (3, 7, 4)):
         system = CircleSystem((n1, n2))
-        assert count_system(system, 0, k) == comb(n1 + n2, k)
+        total = n1 + n2
+        assert count_system(system, 0, k) == comb(total, k)
         assert count_system_convolution(system, 0, k) == sum(
             comb(n1, j) * comb(n2, k - j) for j in range(k + 1))
+        for k_ in (k, total, total + 1, 10**9):
+            assert count_system_convolution(system, 0, k_) == comb(total, k_)
+            assert (count_system_fixed_recursive(system, 0, k_)
+                    == comb(total - 1, k_ - 1))

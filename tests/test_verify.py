@@ -148,20 +148,29 @@ SYSTEM_CHECKS = SweepGrid(max_size=7, max_k=2, max_s=2,
 
 
 def _wrap_walks(monkeypatch, drop_first_of=None):
-    """Record the (sizes, s, k) of every search verify starts; the walk of
-    ``drop_first_of`` loses its first selection."""
+    """Record the (sizes, s, k) of every search verify starts, as a bucket
+    walk or as a count; the walk of ``drop_first_of`` loses its first
+    selection."""
     selection_keys = verify.selection_keys
+    count_by_enumeration = verify.count_by_enumeration
     walks = []
 
-    def wrapped(request):
+    def record(request):
         key = (request.system.sizes, request.params.s, request.params.k)
         walks.append(key)
+        return key == drop_first_of
+
+    def wrapped(request):
         keys = selection_keys(request)
-        if key == drop_first_of:
+        if record(request):
             next(keys)
         return keys
 
+    def counted(request):
+        return count_by_enumeration(request) - record(request)
+
     monkeypatch.setattr(verify, "selection_keys", wrapped)
+    monkeypatch.setattr(verify, "count_by_enumeration", counted)
     return walks
 
 
