@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
-                   SelectionSet, SeparationParams, _check_bounds,
+                   SelectionSet, SeparationParams, _check_bounds, _require_ints,
                    _require_two_circles, flatten, is_s_separated, unflatten)
 from .counting import count_system_fixed
 from .enumeration import EnumerationRequest, _selection, selection_keys
@@ -98,7 +98,7 @@ class ZigZagTrace:
 
 
 def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
-                  op: str) -> None:
+                  op: str) -> set[tuple[int, int]]:
     _require_two_circles(system, op)
     k = len(selection)
     _check_bounds(op, s, k, fixed=1)
@@ -107,6 +107,7 @@ def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
     if Element(1, 1) not in selection:
         raise DomainError(f"{op} requires the selection to contain 1@1")
     _check_bounds(op, s, k, system.sizes, fixed=1)
+    return set(selection.key)
 
 
 def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
@@ -173,13 +174,6 @@ def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
     return tuple(steps)
 
 
-def _run_switches(selection: SelectionSet, system: CircleSystem, s: int,
-                  direction: str) -> tuple[SelectionSet, ZigZagTrace]:
-    selected = set(selection.key)
-    steps = _switch_chain(selected, system.sizes, s, direction)
-    return _selection(sorted(selected)), ZigZagTrace(direction, steps)
-
-
 def zig(selection: SelectionSet, system: CircleSystem, s: int
         ) -> tuple[SelectionSet, ZigZagTrace]:
     """Repair a two-circle selection so that its flattening is s-separated.
@@ -188,10 +182,11 @@ def zig(selection: SelectionSet, system: CircleSystem, s: int
     and satisfy the size bounds; the output selection need not be
     s-separated on the two circles.
     """
-    _check_common(selection, system, s, "zig")
+    selected = _check_common(selection, system, s, "zig")
     if not is_s_separated(selection, system, s):
         raise DomainError("zig requires an s-separated input selection")
-    return _run_switches(selection, system, s, "zig")
+    steps = _switch_chain(selected, system.sizes, s, "zig")
+    return _selection(sorted(selected)), ZigZagTrace("zig", steps)
 
 
 def zag(selection: SelectionSet, system: CircleSystem, s: int
@@ -203,13 +198,14 @@ def zag(selection: SelectionSet, system: CircleSystem, s: int
     need not be s-separated on the two circles).  The output is s-separated
     on the two circles.
     """
-    _check_common(selection, system, s, "zag")
+    selected = _check_common(selection, system, s, "zag")
     flat = _selection((1, flatten(e, system)) for e in selection)
     if not is_s_separated(flat, CircleSystem((system.total,)), s):
         raise DomainError(
             "zag requires a selection whose flattening is s-separated on the "
             "combined circle")
-    return _run_switches(selection, system, s, "zag")
+    steps = _switch_chain(selected, system.sizes, s, "zag")
+    return _selection(sorted(selected)), ZigZagTrace("zag", steps)
 
 
 def forward(selection: SelectionSet, system: CircleSystem, s: int) -> tuple[int, ...]:
@@ -224,8 +220,7 @@ def backward(positions, system: CircleSystem, s: int) -> SelectionSet:
     unflatten, then run ``zag``.  Inverse of ``forward``."""
     positions = tuple(positions)
     for p in positions:
-        if not isinstance(p, int):
-            raise ValueError(f"backward takes integer positions, got {p!r}")
+        _require_ints("backward", position=p)
     pos = sorted(set(positions))
     selection = SelectionSet(tuple(unflatten(p, system) for p in pos))
     repaired, _ = zag(selection, system, s)

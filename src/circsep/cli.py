@@ -264,8 +264,16 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.run(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        # str() refuses ints past this many digits (Python 3.10.7+); 0 lifts it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            code = args.run(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         return code
     except SystemExit as exc:  # argparse: --help, or a line it cannot parse
         return int(exc.code or 0)

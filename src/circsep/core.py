@@ -40,13 +40,9 @@ class Element:
     circle: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.position, int) or not isinstance(self.circle, int):
-            raise ValueError(f"position and circle must be integers, "
-                             f"got {self.position!r}@{self.circle!r}")
-        if self.position < 1:
-            raise ValueError(f"position must be >= 1, got {self.position}")
-        if self.circle < 1:
-            raise ValueError(f"circle must be >= 1, got {self.circle}")
+        p, c = self.position, self.circle
+        if not (type(p) is int and p >= 1 and type(c) is int and c >= 1):
+            _require_ints("Element", 1, position=p, circle=c)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -71,10 +67,9 @@ class CircleSystem:
         if not sizes:
             raise ValueError("a circle system needs at least one circle")
         for n in sizes:
-            if not isinstance(n, int):  # int() read "87" as sizes 8 and 7
-                raise ValueError(f"circle sizes must be integers, got {self.sizes!r}")
-            if n < 1:
-                raise ValueError(f"circle sizes must be >= 1, got {n}")
+            if type(n) is not int or n < 1:
+                _require_ints("CircleSystem", 1,
+                              **{f"n_{i}": m for i, m in enumerate(sizes, 1)})
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -114,11 +109,7 @@ class SeparationParams:
     k: int
 
     def __post_init__(self) -> None:
-        _require_ints("SeparationParams", s=self.s, k=self.k)
-        if self.s < 0:
-            raise ValueError(f"s must be >= 0, got {self.s}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        _require_ints("SeparationParams", 0, s=self.s, k=self.k)
 
 
 @dataclass(frozen=True, slots=True, eq=True)
@@ -182,9 +173,7 @@ def is_s_separated(selection: SelectionSet, system: CircleSystem, s: int) -> boo
     With s = 0 every duplicate-free selection qualifies.  Cross-circle pairs
     are unconstrained.
     """
-    _require_ints("is_s_separated", s=s)
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _require_ints("is_s_separated", 0, s=s)
     for e in selection:
         system.check_element(e)
     elems = selection.elements
@@ -199,12 +188,17 @@ def is_s_separated(selection: SelectionSet, system: CircleSystem, s: int) -> boo
     return True
 
 
-def _require_ints(op: str, **values) -> None:
-    """Raise ValueError naming the first of ``values`` that is not an int;
+def _require_ints(op: str, least: int | None = None, **values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an int (a
+    bool is not one), then, with ``least`` given, the first below ``least``;
     range checks come after it, so a float never reaches ``range``."""
     for name, value in values.items():
-        if not isinstance(value, int):
+        if type(value) is not int and (type(value) is bool or not isinstance(value, int)):
             raise ValueError(f"{op} requires an integer {name}, got {name}={value!r}")
+    if least is not None:
+        for name, value in values.items():
+            if value < least:
+                raise ValueError(f"{op} requires {name} >= {least}, got {name}={value}")
 
 
 def _least_size(s: int, k: int, beside_fixed: bool = False) -> int:

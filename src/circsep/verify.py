@@ -336,12 +336,8 @@ class SweepGrid:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        _require_ints("SweepGrid", max_size=self.max_size, max_k=self.max_k,
+        _require_ints("SweepGrid", 1, max_size=self.max_size, max_k=self.max_k,
                       max_s=self.max_s, jobs=self.jobs)
-        if self.max_size < 1 or self.max_k < 1 or self.max_s < 1:
-            raise ValueError("grid bounds must be >= 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if isinstance(self.checks, str):
             raise ValueError(f"checks takes check names, not a string: {self.checks!r}")
         if not self.checks:

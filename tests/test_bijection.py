@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from circsep.bijection import (BijectivityReport, SwitchStep, backward,
 from circsep.core import (CircleSystem, DomainError, Element,
                           InvariantViolation, SelectionSet, SeparationParams,
                           flatten, is_s_separated, parse_selection, unflatten)
-from circsep.enumeration import EnumerationRequest, enumerate_gap
+from circsep.enumeration import EnumerationRequest, enumerate_gap, selection_keys
 
 SYS43 = CircleSystem((4, 3))
 SYS54 = CircleSystem((5, 4))
@@ -180,7 +182,7 @@ def test_backward_validates_positions():
         backward((2, 5), SYS43, 1)
     # no rounding: int() would read 4.7 as 4
     for positions in ([1, 4.7], [1, 4.0], [1, "4"]):
-        with pytest.raises(ValueError, match="integer positions"):
+        with pytest.raises(ValueError, match="backward requires an integer position"):
             backward(positions, SYS43, 1)
 
 
@@ -198,6 +200,23 @@ def test_switch_step_rejects_removal_outside_window():
     with pytest.raises(InvariantViolation):
         SwitchStep(index=0, window_circle=2, window_lo=3, window_hi=3,
                    removed=5, gap=1, added=4)
+
+
+# The chain checks three more guarantees that no input reaches: a gap past s
+# (the window starts s below the last insertion), and removing an element that
+# was inserted or already removed (on each circle, every window lies below the
+# last insertion there, and insertions and removals both move down).
+@pytest.mark.parametrize("selected, sizes, s, direction, message", [
+    ({(1, 1), (2, 4), (2, 5)}, (3, 5), 2, "zig", "window 4..5 on circle 2 holds 2"),
+    ({(1, 1)}, (1, 3), 1, "zag", "attempted to remove the anchor 1@1"),
+    ({(1, 1), (2, 4)}, (1, 5), 2, "zig", "insertion position 0 outside circle 1"),
+    ({(1, 1), (2, 5)}, (1, 5), 1, "zig", "insertion 1@1 collides"),
+    ({(2, 1)}, (1, 1), 1, "zig", "executed 1 switches on a size-1 selection"),
+])
+def test_switch_chain_refuses_a_broken_guarantee(selected, sizes, s, direction,
+                                                 message):
+    with pytest.raises(InvariantViolation, match=f"{direction}: {message}"):
+        bijection._switch_chain(selected, sizes, s, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +259,66 @@ def test_check_bijectivity_catches_a_broken_zag(monkeypatch, corruption):
                 if corruption == "wrong set" else
                 "switch counts differ on 1@1,6@2: zig 1, zag 0")
     assert expected in report.failures
+
+
+def _raise(selected, steps):
+    raise InvariantViolation("broken")
+
+
+def _move(old, new):
+    def change(selected, steps):
+        selected.remove(old)
+        selected.add(new)
+        return steps
+    return change
+
+
+def _unmirror(selected, steps):
+    return (dataclasses.replace(steps[0], added=steps[0].added - 1),)
+
+
+# on 7,6 at s = 2, k = 2, zig takes 1@1,6@2 to 1@1,7@1 and zag takes it back
+@pytest.mark.parametrize("direction, chosen, change, message", [
+    ("zig", ((1, 1), (2, 6)), _raise, "zig(1@1,6@2) raised: broken"),
+    ("zig", ((1, 1), (2, 6)), _move((1, 7), (1, 2)),
+     "forward(1@1,6@2) = (1, 2) is not in the codomain"),
+    ("zag", ((1, 1), (1, 7)), _raise, "zag(1@1,7@1) raised: broken"),
+    ("zag", ((1, 1), (1, 7)), _unmirror, "steps not mirrored on 1@1,6@2 at switch 0"),
+    ("zig", ((1, 1), (2, 6)), _move((1, 7), (1, 6)),
+     "forward is not injective: 8 inputs, 7 distinct images"),
+])
+def test_check_bijectivity_reports_a_broken_chain(monkeypatch, direction, chosen,
+                                                  change, message):
+    chain = bijection._switch_chain
+
+    def broken(selected, sizes, s, direction_):
+        hit = direction_ == direction and tuple(sorted(selected)) == chosen
+        steps = chain(selected, sizes, s, direction_)
+        return change(selected, steps) if hit else steps
+
+    monkeypatch.setattr(bijection, "_switch_chain", broken)
+    assert message in check_bijectivity(CircleSystem((7, 6)), 2, 2).failures
+
+
+def _drop_last(circles):
+    """``selection_keys`` less its last selection on ``circles`` circles."""
+    def keys(request):
+        found = list(selection_keys(request))
+        return found[:-1] if request.system.num_circles == circles else found
+    return keys
+
+
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("selection_keys", _drop_last(2),
+     "forward is not surjective: 1 codomain sets missed, e.g. (1, 7)"),
+    ("count_system_fixed", lambda system, s, k, fixed: 9,
+     "domain size 8 != closed form 9"),
+    ("selection_keys", _drop_last(1), "codomain size 7 != closed form 8"),
+])
+def test_check_bijectivity_reports_a_wrong_family_or_count(monkeypatch, name,
+                                                           stand_in, message):
+    monkeypatch.setattr(bijection, name, stand_in)
+    assert message in check_bijectivity(CircleSystem((7, 6)), 2, 2).failures
 
 
 @st.composite

@@ -81,6 +81,34 @@ def test_count_recomputations_stop_at_the_system_size(capsys):
                "--fixed", "1@1") == (0, "0\n", "")
 
 
+@pytest.fixture
+def digit_limit():
+    """The int-to-str digit limit at 640, as PYTHONINTMAXSTRDIGITS=640 sets it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.10.7 has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_count_prints_past_the_int_digit_limit(capsys, digit_limit, fmt):
+    rc, out, err = run(capsys, "count", "--sizes", "100000", "--s", "1",
+                       "--k", "20000", "--format", fmt)
+    assert (rc, err) == (0, "")
+    count = json.loads(out)["count"] if fmt == "json" else out.rstrip("\n")
+    assert count.isdigit() and len(count) == 19536
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_the_digit_limit_holds_for_arguments_and_after_errors(capsys, digit_limit):
+    # argparse parses under the caller's limit: a 700-digit --k is a usage error
+    assert run(capsys, "count", "--sizes", "10", "--s", "1", "--k", "1" * 700)[0] == 2
+    assert run(capsys, "count", "--sizes", "10", "--s", "1", "--k", "20000")[0] == 3
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
 def test_count_enumerate_covers_what_closed_forms_refuse(capsys):
     rc, out, err = run(capsys, "count", "--sizes", "4", "--s", "2", "--k", "2")
     assert rc == 3
@@ -440,6 +468,8 @@ def test_first_failing_precondition_sets_the_exit_code(capsys, argv, rc):
      "--set lists an element more than once: 1,1,4"),
     ("bijection backward --sizes 4,3 --s 1 --set 1,9",
      "position 9 outside the combined circle 1..7"),
+    ("bijection forward --sizes 4,3 --s 1 --set 0@1",
+     "bad element '0@1': Element requires position >= 1, got position=0"),
 ])
 def test_usage_error_after_parsing_prints_one_line(capsys, argv, message):
     # the same one line a library ValueError prints, without argparse's usage

@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from circsep.bijection import zag, zig
+from circsep.bijection import backward, zag, zig
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, circular_distance, flatten,
                           format_flat_selection, is_s_separated, parse_element,
                           parse_flat_selection, parse_selection, unflatten)
-from circsep.counting import count_system_fixed
+from circsep.counting import count_circle, count_system_fixed
+from circsep.verify import SweepGrid
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +24,7 @@ def test_element_validation():
         Element(-3, 2)
     # no rounding: Element(1.5, 1) would sit inside CircleSystem((3,))
     for position, circle in ((1.5, 1), (1, 1.0), ("1", 1), (1, "2")):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="requires an integer (position|circle)"):
             Element(position, circle)
 
 
@@ -44,7 +45,7 @@ def test_system_validation():
         CircleSystem((4, 0))
     # no conversion: int() would read these as (8, 7)
     for sizes in ("87", (8.9, 7), (8, 7.0), ("8", 7)):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="CircleSystem requires an integer n_[12]"):
             CircleSystem(sizes)
     assert CircleSystem([8, 7]).sizes == (8, 7)
     sys43 = CircleSystem((4, 3))
@@ -82,6 +83,33 @@ def test_separation_params_validation():
     for s, k in ((1.5, 2), (1, 2.0), (-1.0, 2), ("1", 2)):
         with pytest.raises(ValueError, match="requires an integer"):
             SeparationParams(s, k)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Element(True, 1), id="Element"),
+    pytest.param(lambda: CircleSystem((True, 2)), id="CircleSystem"),
+    pytest.param(lambda: SeparationParams(False, 1), id="SeparationParams"),
+    pytest.param(lambda: is_s_separated(SelectionSet(), CircleSystem((4,)), s=True),
+                 id="is_s_separated"),
+    pytest.param(lambda: count_circle(8, True, 2), id="count_circle"),
+    pytest.param(lambda: SweepGrid(jobs=True), id="SweepGrid"),
+    pytest.param(lambda: backward((1, True), CircleSystem((4, 3)), 1), id="backward"),
+])
+def test_a_bool_is_not_an_integer_argument(build):
+    # str(Element(True, 1)) would be "True@1", a label parse_element cannot read
+    with pytest.raises(ValueError, match="requires an integer"):
+        build()
+
+
+def test_integers_are_checked_before_lower_bounds():
+    with pytest.raises(ValueError, match="Element requires position >= 1, got position=0"):
+        Element(0, 1)
+    with pytest.raises(ValueError, match="CircleSystem requires n_2 >= 1, got n_2=0"):
+        CircleSystem((4, 0))
+    with pytest.raises(ValueError, match="requires an integer n_2"):
+        CircleSystem((0, 1.5))
+    with pytest.raises(ValueError, match="SweepGrid requires max_k >= 1, got max_k=0"):
+        SweepGrid(max_k=0)
 
 
 # ---------------------------------------------------------------------------

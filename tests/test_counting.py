@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
-from circsep.core import CircleSystem, DomainError, Element, SeparationParams
-from circsep.counting import (binomial, count_circle, count_circle_fixed,
+from circsep.core import (CircleSystem, DomainError, Element, InvariantViolation,
+                          SeparationParams)
+from circsep.counting import (_exact_div, binomial, count_circle, count_circle_fixed,
                               count_system, count_system_convolution,
                               count_system_fixed, count_system_fixed_recursive)
 from circsep.enumeration import EnumerationRequest, count_by_enumeration
@@ -269,3 +270,10 @@ def test_s0_reduces_to_plain_binomials():
             assert count_system_convolution(system, 0, k_) == comb(total, k_)
             assert (count_system_fixed_recursive(system, 0, k_)
                     == comb(total - 1, k_ - 1))
+
+
+def test_an_inexact_division_is_an_internal_error():
+    # the closed forms divide exactly on their domain; a remainder is a bug
+    assert _exact_div(8, 2, "x") == 4
+    with pytest.raises(InvariantViolation, match="x: 7 is not divisible by 2"):
+        _exact_div(7, 2, "x")
