@@ -5,9 +5,10 @@ Four subcommands cover the library surface:
 * ``count``      exact counts via closed forms, recursion, convolution, or
                  streaming enumeration
 * ``enumerate``  list the selections themselves, streamed from the search's
-                 raw (circle, position) tuples (``enumeration.selection_keys``)
-                 with no selection objects built: the first line is written
-                 at once, the rest in blocks of lines;
+                 runs (``enumeration.selection_runs``) with no selection
+                 objects built: each run's shared prefix is formatted once
+                 and each line is that text plus one label; the first line is
+                 written at once, the rest in blocks of lines;
                  ``enumeration.enumerate_gap`` is the object API
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
@@ -40,7 +41,8 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    parse_selection, unflatten)
 from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
+from .enumeration import (EnumerationRequest, count_by_enumeration,
+                          selection_keys, selection_runs)
 from .verify import (CHECKS, SweepGrid, overall_pass, render_table,
                      to_json_lines, verify_all)
 
@@ -181,22 +183,35 @@ class _Labels(dict):
         return label
 
 
+def _lines(request):
+    """Each selection's labels joined by commas, as ``SelectionSet.__str__``
+    writes them, built lazily run by run: a run's prefix text once, then that
+    text plus one label per position."""
+    if request.params.k == 0:  # the empty selection is in no run
+        return ("" for _ in selection_keys(request))
+    label = _Labels().__getitem__
+    return itertools.chain.from_iterable(
+        map(",".join([*map(label, prefix), ""]).__add__,
+            map(label, zip(itertools.repeat(c), range(lo, hi + 1))))
+        for prefix, c, lo, hi in selection_runs(request))
+
+
 _BLOCK = 2048  # lines per write after the first
 
 
 def _cmd_enumerate(args) -> int:
     system = CircleSystem(args.sizes)
-    stream = selection_keys(EnumerationRequest(
+    lines = _lines(EnumerationRequest(
         system, SeparationParams(args.s, args.k), args.fixed))
     if args.limit is not None:
-        stream = itertools.islice(stream, args.limit)
-    label = _Labels().__getitem__
+        lines = itertools.islice(lines, args.limit)
     write = sys.stdout.write
-    if args.format == "json":
-        write(_json_dump([list(map(label, pairs)) for pairs in stream]) + "\n")
+    if args.format == "json":  # what json.dumps writes: labels need no escapes
+        rows = ('["' + line.replace(",", '","') + '"]' if line else "[]"
+                for line in lines)
+        write("[" + ",".join(rows) + "]\n")
         return 0
     # text; also CSV, whose writer would not quote these fields
-    lines = (",".join(map(label, pairs)) for pairs in stream)
     for line in itertools.islice(lines, 1):  # the first line as soon as found
         write(line + "\n")
     while block := list(itertools.islice(lines, _BLOCK)):

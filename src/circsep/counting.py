@@ -52,13 +52,23 @@ def _exact_div(numerator: int, denominator: int, context: str) -> int:
 _HINT = "; use count_by_enumeration instead"
 
 
+def _circle(n: int, s: int, k: int) -> int:
+    """``count_circle``'s arithmetic, for callers whose bound check covers it."""
+    return _exact_div(n * binomial(n - s * k, k), n - s * k, "count_circle")
+
+
+def _circle_fixed(n: int, s: int, k: int) -> int:
+    """``count_circle_fixed``'s arithmetic, likewise."""
+    return binomial(n - k * s - 1, k - 1)
+
+
 def count_circle(n: int, s: int, k: int) -> int:
     """s-separated k-subsets of one circle of size n.
 
     Exact for n >= s*k + 1 (so for k = 0, one empty set, on any circle).
     """
     _check_bounds("count_circle", s, k, (n,), names=("n",), hint=_HINT)
-    return _exact_div(n * binomial(n - s * k, k), n - s * k, "count_circle")
+    return _circle(n, s, k)
 
 
 def count_circle_fixed(n: int, s: int, k: int) -> int:
@@ -69,7 +79,7 @@ def count_circle_fixed(n: int, s: int, k: int) -> int:
     """
     _check_bounds("count_circle_fixed", s, k, (n,), fixed=1, names=("n",),
                   hint=_HINT)
-    return binomial(n - k * s - 1, k - 1)
+    return _circle_fixed(n, s, k)
 
 
 def count_system_fixed(system: CircleSystem, s: int, k: int, fixed: Element) -> int:
@@ -121,8 +131,9 @@ def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
     if k > system.total:
         return 0
     first, *rest = system.sizes
-    others = _spread([[count_circle(n, s, j) for j in range(k)] for n in rest], k - 1)
-    return sum(count_circle_fixed(first, s, j) * others[k - j] for j in range(1, k + 1))
+    # the system's bounds cover every factor: j <= k - 1 beside 1@1, j <= k on it
+    others = _spread([[_circle(n, s, j) for j in range(k)] for n in rest], k - 1)
+    return sum(_circle_fixed(first, s, j) * others[k - j] for j in range(1, k + 1))
 
 
 def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
@@ -133,5 +144,6 @@ def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
     _check_bounds("count_system_convolution", s, k, system.sizes, hint=_HINT)
     if k > system.total:
         return 0
-    return _spread([[count_circle(n, s, j) for j in range(k + 1)]
+    # every size >= s*k + 1 covers each factor's j <= k
+    return _spread([[_circle(n, s, j) for j in range(k + 1)]
                     for n in system.sizes], k)[k]

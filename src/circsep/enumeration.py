@@ -7,17 +7,20 @@ search over the canonical (circle, position) order: each depth picks the next
 element after the previous one, on the same circle at least ``s + 1`` further
 on and within the wrap-around gap back to that circle's first pick, or on a
 later circle.  A branch is cut as soon as the circles left cannot hold the
-rest of k.  The last depth is one ``range`` of positions per circle, each
-position completing a selection.  Both yield selections in lexicographic
-order of the canonical (circle, position) serialization, so output is
-deterministic and directly comparable.
+rest of k.  The last depth is not searched: given the first k - 1 picks, the
+positions that complete a selection form one interval per circle.  Both
+yield selections in lexicographic order of the canonical (circle, position)
+serialization, so output is deterministic and directly comparable.
 
-``selection_keys`` streams the search's raw output, one increasing tuple of
-(circle, position) pairs per selection, and is what every consumer reads:
-``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``;
-``count_by_enumeration`` counts the tuples; the ``enumerate`` command formats
-them straight to text, writing the first line at once and the rest in blocks
-of lines.
+``selection_runs`` is the search's raw output: runs ``(prefix, c, lo, hi)``,
+a shared prefix of k - 1 picks and the interval of last positions on circle
+c that complete it, so a consumer pays per run for what the run's selections
+share.  ``count_by_enumeration`` sums run lengths; the ``enumerate`` command
+formats a run's prefix once and writes it before each last label, the first
+line at once and the rest in blocks of lines; verify's bucket checks tally a
+run's length to its prefix.  ``selection_keys`` expands the runs into one
+increasing tuple of (circle, position) pairs per selection, and
+``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``.
 """
 
 from __future__ import annotations
@@ -96,34 +99,56 @@ def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
             yield (c, q), q
 
 
-def selection_keys(request: EnumerationRequest):
-    """Yield the selections of ``request`` as increasing tuples of (circle,
-    position) pairs, the same sets in the same order as ``enumerate_gap``,
-    without building an ``Element`` or a ``SelectionSet``.
+def _last_runs(sizes, gap: int, prefix: tuple, last: tuple[int, int],
+               first: int, pending):
+    """The runs that complete ``prefix``, whose last pick is ``last`` (``(0,
+    0)`` for the empty prefix) and whose first pick on that pick's circle is
+    ``first``: positions from ``last`` plus s + 1 to the wrap-around bound
+    back to ``first`` on that circle, then every position of each later
+    circle.  A ``pending`` fixed pair is the one position that completes a
+    selection: on a later circle, or on the same one within those bounds."""
+    c0, q0 = last
+    hi = min(sizes[c0 - 1], first + sizes[c0 - 1] - gap) if c0 else 0
+    if pending is not None:
+        c, q = pending
+        if c > c0 or q0 + gap <= q <= hi:
+            yield prefix, c, q, q
+        return
+    if q0 + gap <= hi:
+        yield prefix, c0, q0 + gap, hi
+    for c in range(c0 + 1, len(sizes) + 1):
+        yield prefix, c, 1, sizes[c - 1]
 
-    A depth-first search on an explicit stack, one entry per open depth: its
-    candidate iterator, the picks before it, and ``fixed`` until one of those
-    is it, so a pop restores nothing.  Depth d takes the d-th element of the
-    selection, always after the one before it, so selections come out in
-    lexicographic order.  For positions increasing on one circle it is enough
-    that consecutive picks differ by at least s + 1 and that none passes
-    ``first + n - (s + 1)``, the wrap-around bound back to the circle's first
-    pick; every other pair is then farther apart.  A circle of size n holds at
-    most ``max(1, n // (s+1))`` picks.  Until ``fixed`` is taken, the first
-    candidate past it ends its depth.  The last depth is not a stack entry: it
-    yields from one ``range`` per circle, from just past the last pick to the
-    wrap-around bound on that pick's circle and over every position of each
-    later circle.  While ``fixed`` is pending there, the fixed pair alone is
-    tested: it completes a selection on a later circle, or on the same one
-    within those bounds.
+
+def selection_runs(request: EnumerationRequest):
+    """Yield the selections of ``request`` as runs ``(prefix, c, lo, hi)``:
+    ``prefix + ((c, q),)`` is a selection for every ``lo <= q <= hi``, and
+    expanding the runs in order gives ``selection_keys``.  Every run is
+    nonempty.  At k = 0 there is no run (the empty selection has no last
+    pick).
+
+    A depth-first search on an explicit stack, one entry per open depth but
+    the last: its candidate iterator, the picks before it, and ``fixed`` until
+    one of those is it, so a pop restores nothing.  Depth d takes the d-th
+    element of the selection, always after the one before it, so selections
+    come out in lexicographic order.  For positions increasing on one circle
+    it is enough that consecutive picks differ by at least s + 1 and that none
+    passes ``first + n - (s + 1)``, the wrap-around bound back to the circle's
+    first pick; every other pair is then farther apart.  A circle of size n
+    holds at most ``max(1, n // (s+1))`` picks.  Until ``fixed`` is taken, the
+    first candidate past it ends its depth.  The last depth is not searched:
+    each prefix of k - 1 picks gives one run on its last pick's circle and one
+    whole-circle run per later circle, or, with ``fixed`` still pending, the
+    one-position run of the fixed pair.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
     if k == 0:
-        if fixed is None:
-            yield ()
         return
     gap = s + 1
+    if k == 1:  # the first depth is the last
+        yield from _last_runs(sizes, gap, (), (0, 0), 0, fixed)
+        return
     after = [0] * (len(sizes) + 1)  # after[c]: most picks circles > c can hold
     for c in range(len(sizes) - 1, -1, -1):
         after[c] = after[c + 1] + max(1, sizes[c] // gap)
@@ -140,22 +165,24 @@ def selection_keys(request: EnumerationRequest):
         if len(path) < k - 1:
             stack.append((_picks(sizes, gap, after, pair, first, k - len(path) - 1),
                           path, pending))
-        elif len(path) == k:  # k == 1: the first depth is the last
-            if pending is None:
-                yield path
-        else:  # the last depth: one range per circle, no candidate tuples
-            c0, q0 = pair
-            n = sizes[c0 - 1]
-            hi = min(n, first + n - gap)
-            if pending is not None:  # only the fixed pair itself completes
-                if pending[0] > c0 or q0 + gap <= pending[1] <= hi:
-                    yield path + (pending,)
-                continue
-            for q in range(q0 + gap, hi + 1):
-                yield path + ((c0, q),)
-            for c in range(c0 + 1, len(sizes) + 1):
-                for q in range(1, sizes[c - 1] + 1):
-                    yield path + ((c, q),)
+        else:
+            yield from _last_runs(sizes, gap, path, pair, first, pending)
+
+
+def selection_keys(request: EnumerationRequest):
+    """Yield the selections of ``request`` as increasing tuples of (circle,
+    position) pairs, the same sets in the same order as ``enumerate_gap``,
+    without building an ``Element`` or a ``SelectionSet``: the runs of
+    ``selection_runs`` expanded, and the empty selection at k = 0 unless an
+    element is fixed.
+    """
+    if request.params.k == 0:
+        if request.fixed is None:
+            yield ()
+        return
+    for prefix, c, lo, hi in selection_runs(request):
+        for q in range(lo, hi + 1):
+            yield prefix + ((c, q),)
 
 
 def enumerate_gap(request: EnumerationRequest):
@@ -165,5 +192,7 @@ def enumerate_gap(request: EnumerationRequest):
 
 
 def count_by_enumeration(request: EnumerationRequest) -> int:
-    """Count by streaming the pruned search; exact for any parameters."""
-    return sum(1 for _ in selection_keys(request))
+    """Count by streaming the pruned search's runs; exact for any parameters."""
+    if request.params.k == 0:  # the empty selection, in no run
+        return int(request.fixed is None)
+    return sum(hi - lo + 1 for _, _, lo, hi in selection_runs(request))

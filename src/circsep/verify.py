@@ -39,7 +39,7 @@ from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, selection_keys
+from .enumeration import EnumerationRequest, count_by_enumeration, selection_runs
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 
@@ -207,15 +207,31 @@ def _oracle_count(sizes, s, k, walks=None) -> int:
         CircleSystem(key[0]), SeparationParams(s, k)))
 
 
+def _tally(request: EnumerationRequest) -> Counter:
+    """The number of selections through each (circle, position) pair, in one
+    pass over the search's runs that keeps no selection: a run's length goes
+    to each pair of its prefix, and each distinct ``(c, lo, hi)`` adds its
+    number of runs to its positions once."""
+    buckets, tails = Counter(), Counter()
+    for prefix, c, lo, hi in selection_runs(request):
+        for pair in prefix:
+            buckets[pair] += hi - lo + 1
+        tails[c, lo, hi] += 1
+    for (c, lo, hi), runs in tails.items():
+        for q in range(lo, hi + 1):
+            buckets[c, q] += runs
+    return buckets
+
+
 def _bucket_report(check: str, params: dict, sizes, s, k, closed_on: dict,
                    walks=None) -> IdentityReport:
     """Compare, for every element of each circle in ``closed_on`` (circle ->
     its closed form), the closed form with the number of s-separated
-    k-selections through that element, tallied in one pass over the search
-    that keeps no selection.  ``walks``, when given, also gets the number of
-    selections under ``(sizes, s, k)``: each fills k buckets."""
-    buckets = Counter(itertools.chain.from_iterable(selection_keys(
-        EnumerationRequest(CircleSystem(tuple(sizes)), SeparationParams(s, k)))))
+    k-selections through that element (``_tally``).  ``walks``, when given,
+    also gets the number of selections under ``(sizes, s, k)``: each fills k
+    buckets."""
+    buckets = _tally(EnumerationRequest(
+        CircleSystem(tuple(sizes)), SeparationParams(s, k)))
     if walks is not None:
         walks[tuple(sizes), s, k] = sum(buckets.values()) // k
     for c, closed in closed_on.items():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import circsep.cli as cli
 from circsep.core import (CircleSystem, Element, InvariantViolation,
                           SeparationParams)
-from circsep.enumeration import EnumerationRequest, enumerate_gap
+from circsep.enumeration import EnumerationRequest, enumerate_gap, selection_keys
 from circsep.verify import IdentityReport
 
 
@@ -277,6 +277,44 @@ def test_enumerate_writes_the_first_line_alone_then_whole_blocks(fmt, limit):
     lines = [block.count("\n") for block in blocks]
     assert lines[:-1] == [cli._BLOCK] * (len(lines) - 1)
     assert all(0 < n <= cli._BLOCK for n in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("limit", [2, 101, 2049])
+def test_enumerate_limit_inside_a_run_prints_the_head_of_the_stream(fmt, limit):
+    # the selection after the last one printed is the same prefix with the
+    # next position on the same circle: the limit cuts one run part way
+    argv = ["enumerate", "--sizes", "12,12", "--s", "1", "--k", "4",
+            "--format", fmt]
+    keys = list(selection_keys(EnumerationRequest(
+        CircleSystem((12, 12)), SeparationParams(1, 4))))
+    *prefix, (c, q) = keys[limit - 1]
+    assert keys[limit] == (*prefix, (c, q + 1))
+    rc, full, _ = call(argv)
+    assert rc == 0
+    if fmt == "json":
+        head = json.dumps(json.loads(full)[:limit], separators=(",", ":")) + "\n"
+    else:
+        head = "".join(full.splitlines(keepends=True)[:limit])
+    assert call(argv + ["--limit", str(limit)]) == (0, head, "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    # k = 0: the one empty selection, or none through a fixed element
+    (["--k", "0"], "\n"),
+    (["--k", "0", "--format", "csv"], "\n"),
+    (["--k", "0", "--format", "json"], "[[]]\n"),
+    (["--k", "0", "--fixed", "1@1"], ""),
+    (["--k", "0", "--fixed", "1@1", "--format", "json"], "[]\n"),
+    (["--k", "0", "--limit", "0", "--format", "json"], "[]\n"),
+    # k = 1: one run per circle, or the fixed element's alone
+    (["--k", "1"], "1@1\n2@1\n3@1\n1@2\n2@2\n"),
+    (["--k", "1", "--format", "json"], '[["1@1"],["2@1"],["3@1"],["1@2"],["2@2"]]\n'),
+    (["--k", "1", "--fixed", "2@2", "--format", "csv"], "2@2\n"),
+    (["--k", "1", "--limit", "4"], "1@1\n2@1\n3@1\n1@2\n"),
+])
+def test_enumerate_k0_and_k1_exactly(argv, out):
+    assert call(["enumerate", "--sizes", "3,2", "--s", "1", *argv]) == (0, out, "")
 
 
 def test_enumerate_limit_allocates_nothing_per_position():

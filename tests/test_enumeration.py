@@ -1,9 +1,9 @@
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
@@ -12,7 +12,9 @@ from circsep.counting import (count_circle, count_circle_fixed, count_system,
                               count_system_convolution, count_system_fixed,
                               count_system_fixed_recursive)
 from circsep.enumeration import (EnumerationRequest, count_by_enumeration,
-                                 enumerate_gap, enumerate_naive, selection_keys)
+                                 enumerate_gap, enumerate_naive, selection_keys,
+                                 selection_runs)
+from circsep.verify import _tally
 
 
 def request(sizes, s, k, fixed=None):
@@ -79,6 +81,13 @@ def test_k0_with_fixed_yields_nothing():
 def test_k_larger_than_ground_set():
     assert list(enumerate_gap(request([3, 2], 0, 6))) == []
     assert count_by_enumeration(request([3, 2], 0, 6)) == 0
+
+
+def test_k0_count_has_no_run():
+    # the empty selection has no last pick, so it is counted without the runs
+    assert list(selection_runs(request([4, 3], 1, 0))) == []
+    assert count_by_enumeration(request([4, 3], 1, 0)) == 1
+    assert count_by_enumeration(request([4, 3], 1, 0, Element(1, 1))) == 0
 
 
 def test_request_validates_fixed():
@@ -224,6 +233,27 @@ def test_gap_search_properties(req):
         else:
             with pytest.raises(DomainError):
                 count()
+
+
+@settings(max_examples=150, deadline=None)
+@given(requests() | fixed_requests())
+@example(request([3, 2], 1, 1))                  # k = 1: one run per circle
+@example(request([3, 2], 1, 1, Element(2, 2)))   # ... or the fixed pair's alone
+@example(request([3, 2], 0, 6))                  # k > N: no run
+@example(request([6, 5], 1, 3, Element(5, 2)))   # fixed pending at the last depth
+@example(request([7], 1, 3, Element(6, 1)))      # ... on the last pick's circle
+def test_runs_expand_to_the_selections(req):
+    runs = list(selection_runs(req))
+    assert all(lo <= hi for _, _, lo, hi in runs)
+    keys = list(selection_keys(req))
+    assert keys == [sel.key for sel in enumerate_naive(req)]
+    if req.params.k == 0:  # the empty selection, or nothing, and no run
+        assert (runs, keys) == ([], [] if req.fixed else [()])
+        return
+    assert [prefix + ((c, q),) for prefix, c, lo, hi in runs
+            for q in range(lo, hi + 1)] == keys
+    # verify's bucket tally, taken from the runs, counts what the tuples hold
+    assert _tally(req) == Counter(itertools.chain.from_iterable(keys))
 
 
 # ---------------------------------------------------------------------------

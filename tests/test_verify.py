@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -151,7 +152,7 @@ def _wrap_walks(monkeypatch, drop_first_of=None):
     """Record the (sizes, s, k) of every search verify starts, as a bucket
     walk or as a count; the walk of ``drop_first_of`` loses its first
     selection."""
-    selection_keys = verify.selection_keys
+    selection_runs = verify.selection_runs
     count_by_enumeration = verify.count_by_enumeration
     walks = []
 
@@ -161,15 +162,16 @@ def _wrap_walks(monkeypatch, drop_first_of=None):
         return key == drop_first_of
 
     def wrapped(request):
-        keys = selection_keys(request)
-        if record(request):
-            next(keys)
-        return keys
+        runs = selection_runs(request)
+        if record(request):  # the first run loses its first position
+            prefix, c, lo, hi = next(runs)
+            runs = itertools.chain([(prefix, c, lo + 1, hi)] if lo < hi else [], runs)
+        return runs
 
     def counted(request):
         return count_by_enumeration(request) - record(request)
 
-    monkeypatch.setattr(verify, "selection_keys", wrapped)
+    monkeypatch.setattr(verify, "selection_runs", wrapped)
     monkeypatch.setattr(verify, "count_by_enumeration", counted)
     return walks
 
