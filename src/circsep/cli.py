@@ -6,8 +6,8 @@ Four subcommands cover the library surface:
                  streaming enumeration
 * ``enumerate``  list the selections themselves, streamed from the search's
                  runs (``enumeration.selection_runs``) with no selection
-                 objects built: each run's shared prefix is formatted once
-                 and each line is that text plus one label; the first line is
+                 objects built: a run's lines are one ``str.join`` of its last
+                 labels with the prefix's text between them; the first line is
                  written at once, the rest in blocks of lines;
                  ``enumeration.enumerate_gap`` is the object API
 * ``bijection``  map a two-circle selection onto the combined circle and back,
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -173,49 +172,64 @@ def _cmd_count(args) -> int:
     return 0
 
 
-class _Labels(dict):
-    """Each (circle, position) pair's text as ``Element.__str__`` writes it,
-    built the first time the pair is looked up; holds only pairs seen."""
-
-    def __missing__(self, pair):
-        c, p = pair
-        label = self[pair] = f"{p}@{c}"
-        return label
-
-
-def _lines(request):
-    """Each selection's labels joined by commas, as ``SelectionSet.__str__``
-    writes them, built lazily run by run: a run's prefix text once, then that
-    text plus one label per position."""
-    if request.params.k == 0:  # the empty selection is in no run
-        return ("" for _ in selection_keys(request))
-    label = _Labels().__getitem__
-    return itertools.chain.from_iterable(
-        map(",".join([*map(label, prefix), ""]).__add__,
-            map(label, zip(itertools.repeat(c), range(lo, hi + 1))))
-        for prefix, c, lo, hi in selection_runs(request))
-
-
 _BLOCK = 2048  # lines per write after the first
 
 
+def _blocks(request, limit):
+    """The lines of ``request``'s selections, at most ``limit``: the first
+    alone, then blocks of ``_BLOCK``.  A run, cut at block ends and ``limit``,
+    is one join of its last labels with the prefix's text between them;
+    ``texts[q]`` is ``str(q)``, grown only by runs that start at most one past
+    its end, so a run or pick far along a huge circle is formatted by ``str``."""
+    if limit == 0:
+        return
+    if request.params.k == 0:  # the empty selection is in no run
+        yield from ("\n" for _ in selection_keys(request))
+        return
+    mid = [f"@{c}," for c in range(request.system.num_circles + 1)]
+    tails = [label[:-1] + "\n" for label in mid]
+    texts, parts, count, cut = ["0"], [], 0, 1  # this block ends after line cut
+    for prefix, c, lo, hi in selection_runs(request):
+        head = ""
+        for d, p in prefix:
+            try:
+                head += texts[p] + mid[d]
+            except IndexError:
+                head += str(p) + mid[d]
+        while lo <= hi:
+            end = min(hi, lo + cut - count - 1)
+            if lo <= len(texts):
+                texts.extend(map(str, range(len(texts), end + 1)))
+                labels = texts[lo:end + 1]
+            else:
+                labels = map(str, range(lo, end + 1))
+            parts.append(head + (tails[c] + head).join(labels) + tails[c])
+            count += end - lo + 1
+            lo = end + 1
+            if count == cut:
+                yield "".join(parts)
+                if count == limit:
+                    return
+                parts = []
+                cut = count + _BLOCK if limit is None else min(count + _BLOCK, limit)
+    if parts:
+        yield "".join(parts)
+
+
 def _cmd_enumerate(args) -> int:
-    system = CircleSystem(args.sizes)
-    lines = _lines(EnumerationRequest(
-        system, SeparationParams(args.s, args.k), args.fixed))
-    if args.limit is not None:
-        lines = itertools.islice(lines, args.limit)
-    write = sys.stdout.write
+    blocks = _blocks(EnumerationRequest(
+        CircleSystem(args.sizes), SeparationParams(args.s, args.k), args.fixed),
+        args.limit)
     if args.format == "json":  # what json.dumps writes: labels need no escapes
-        rows = ('["' + line.replace(",", '","') + '"]' if line else "[]"
-                for line in lines)
-        write("[" + ",".join(rows) + "]\n")
+        text = "".join(blocks)
+        if text:  # at k = 0, the one line is the empty selection
+            text = ('["' + text[:-1].replace(",", '","').replace("\n", '"],["')
+                    + '"]' if args.k else "[]")
+        sys.stdout.write("[" + text + "]\n")
         return 0
     # text; also CSV, whose writer would not quote these fields
-    for line in itertools.islice(lines, 1):  # the first line as soon as found
-        write(line + "\n")
-    while block := list(itertools.islice(lines, _BLOCK)):
-        write("\n".join(block) + "\n")
+    for block in blocks:
+        sys.stdout.write(block)
     return 0
 
 

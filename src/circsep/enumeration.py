@@ -16,9 +16,9 @@ serialization, so output is deterministic and directly comparable.
 a shared prefix of k - 1 picks and the interval of last positions on circle
 c that complete it, so a consumer pays per run for what the run's selections
 share.  ``count_by_enumeration`` sums run lengths; the ``enumerate`` command
-formats a run's prefix once and writes it before each last label, the first
-line at once and the rest in blocks of lines; verify's bucket checks tally a
-run's length to its prefix.  ``selection_keys`` expands the runs into one
+formats a run's prefix once and joins the run's last labels with it, one
+``str.join`` per run, writing the first line at once and the rest in blocks of
+lines; verify's bucket checks tally a run's length to its prefix.  ``selection_keys`` expands the runs into one
 increasing tuple of (circle, position) pairs per selection, and
 ``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``.
 """

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import circsep.cli as cli
 from circsep.core import (CircleSystem, Element, InvariantViolation,
                           SeparationParams)
-from circsep.enumeration import EnumerationRequest, enumerate_gap, selection_keys
+from circsep.enumeration import (EnumerationRequest, enumerate_gap,
+                                 selection_keys, selection_runs)
 from circsep.verify import IdentityReport
 
 
@@ -330,6 +332,67 @@ def test_enumerate_limit_allocates_nothing_per_position():
         tracemalloc.stop()
     assert result == (0, "1@1,3@1\n1@1,4@1\n1@1,5@1\n", "")
     assert peak < 2**20
+
+
+# the 5th run of sizes 12,12, s=1, k=4 ends on this line
+RUN_END = list(itertools.accumulate(
+    hi - lo + 1 for *_, lo, hi in itertools.islice(selection_runs(
+        EnumerationRequest(CircleSystem((12, 12)), SeparationParams(1, 4))), 5)))[-1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sizes, k, fixed, limit", [
+    # every prefix pick but the first lies past each last position so far
+    ((10, 3), 2, Element(2, 2), None),
+    # a limit on a run's last line (limits on a block's last line, 1 + _BLOCK
+    # and 1 + 2 * _BLOCK, are in the write-shape test above)
+    ((12, 12), 4, None, RUN_END),
+])
+def test_enumerate_edge_shapes_print_what_the_library_formats(fmt, sizes, k,
+                                                              fixed, limit):
+    argv = ["enumerate", "--sizes", ",".join(map(str, sizes)), "--s", "1",
+            "--k", str(k), "--format", fmt]
+    if fixed is not None:
+        argv += ["--fixed", str(fixed)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    assert call(argv) == (0, library_output(sizes, 1, k, fixed, limit, fmt), "")
+
+
+def test_enumerate_late_fixed_element_grows_no_table():
+    # the one line printed has a last position near the end of a million:
+    # a table of labels up to it would hold about 60 MB
+    argv = ["enumerate", "--sizes", "3,1000000", "--s", "1", "--k", "2",
+            "--fixed", "999999@2", "--limit", "1"]
+    tracemalloc.start()
+    try:
+        result = call(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "1@1,999999@2\n", "")
+    assert peak < 2**20
+
+
+def test_enumerate_memory_does_not_grow_with_a_label_cache():
+    # a million one-label lines: the child reports its own peak RSS, which
+    # a cache keyed by (circle, position) pushed past 200 MiB
+    code = (
+        "import os, resource, sys\n"
+        "from circsep.cli import main\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    rc = main(['enumerate', '--sizes', '1000000', '--s', '1', '--k', '1'])\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rc, maxrss = map(int, proc.stdout.split())
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    mib = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    assert rc == 0
+    assert mib < 128
 
 
 def test_enumerate_streams():
