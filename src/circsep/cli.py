@@ -7,8 +7,9 @@ Four subcommands cover the library surface:
 * ``enumerate``  list the selections themselves, streamed from the search's
                  runs (``enumeration.selection_runs``) with no selection
                  objects built: a run's lines are one ``str.join`` of its last
-                 labels with the prefix's text between them; the first line is
-                 written at once, the rest in blocks of lines;
+                 labels with the prefix's text, built once per prefix, between
+                 them; the first line is written at once, the rest in blocks
+                 of lines;
                  ``enumeration.enumerate_gap`` is the object API
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
@@ -178,9 +179,11 @@ _BLOCK = 2048  # lines per write after the first
 def _blocks(request, limit):
     """The lines of ``request``'s selections, at most ``limit``: the first
     alone, then blocks of ``_BLOCK``.  A run, cut at block ends and ``limit``,
-    is one join of its last labels with the prefix's text between them;
-    ``texts[q]`` is ``str(q)``, grown only by runs that start at most one past
-    its end, so a run or pick far along a huge circle is formatted by ``str``."""
+    is one join of its last labels with the prefix's text between them; that
+    text is built once per prefix, when the prefix object changes.
+    ``texts[q]`` is ``str(q)``, grown by a piece that ends past it and starts
+    at most one past its end, up to ``_BLOCK`` entries; other labels, and
+    picks far along a huge circle, are formatted by ``str``."""
     if limit == 0:
         return
     if request.params.k == 0:  # the empty selection is in no run
@@ -189,20 +192,18 @@ def _blocks(request, limit):
     mid = [f"@{c}," for c in range(request.system.num_circles + 1)]
     tails = [label[:-1] + "\n" for label in mid]
     texts, parts, count, cut = ["0"], [], 0, 1  # this block ends after line cut
+    last = None
     for prefix, c, lo, hi in selection_runs(request):
-        head = ""
-        for d, p in prefix:
-            try:
-                head += texts[p] + mid[d]
-            except IndexError:
-                head += str(p) + mid[d]
+        if prefix is not last:
+            last, head = prefix, ""
+            for d, p in prefix:
+                head += (texts[p] if p < len(texts) else str(p)) + mid[d]
         while lo <= hi:
             end = min(hi, lo + cut - count - 1)
-            if lo <= len(texts):
+            if lo <= len(texts) <= end < _BLOCK:
                 texts.extend(map(str, range(len(texts), end + 1)))
-                labels = texts[lo:end + 1]
-            else:
-                labels = map(str, range(lo, end + 1))
+            labels = (texts[lo:end + 1] if end < len(texts)
+                      else map(str, range(lo, end + 1)))
             parts.append(head + (tails[c] + head).join(labels) + tails[c])
             count += end - lo + 1
             lo = end + 1

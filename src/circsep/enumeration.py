@@ -15,10 +15,12 @@ serialization, so output is deterministic and directly comparable.
 ``selection_runs`` is the search's raw output: runs ``(prefix, c, lo, hi)``,
 a shared prefix of k - 1 picks and the interval of last positions on circle
 c that complete it, so a consumer pays per run for what the run's selections
-share.  ``count_by_enumeration`` sums run lengths; the ``enumerate`` command
-formats a run's prefix once and joins the run's last labels with it, one
-``str.join`` per run, writing the first line at once and the rest in blocks of
-lines; verify's bucket checks tally a run's length to its prefix.  ``selection_keys`` expands the runs into one
+share.  The runs of one prefix come out together and share one tuple object,
+so a consumer can also pay once per prefix.  ``count_by_enumeration`` sums run
+lengths; the ``enumerate`` command formats each prefix once and joins a run's
+last labels with it, one ``str.join`` per run, writing the first line at once
+and the rest in blocks of lines; verify's bucket checks add a prefix's summed
+run lengths to its picks once.  ``selection_keys`` expands the runs into one
 increasing tuple of (circle, position) pairs per selection, and
 ``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``.
 """
@@ -76,22 +78,22 @@ def enumerate_naive(request: EnumerationRequest):
             yield _selection(combo)
 
 
-def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
+def _picks(size, gap: int, after: list[int], last: tuple[int, int],
            first: int, rem: int):
     """Candidates ``((circle, position), first)`` for the pick after ``last``
-    at every depth but the last (unless k = 1), in canonical order; ``first``
-    is the first pick on the candidate's circle.
+    at every depth but the last, in canonical order; ``first`` is the first
+    pick on the candidate's circle, and ``size[c]`` is circle c's size
+    (``size[0] = 0``: the empty prefix's last pick is ``(0, 0)``).
     No candidate leaves too little room for the ``rem`` picks still to follow:
     the circles after ``c`` hold at most ``after[c]``, the rest must fit on ``c``.
     """
     c0, q0 = last
-    if c0:
-        n = sizes[c0 - 1]
-        hi = min(n, first + n - gap) - max(0, rem - after[c0]) * gap
-        for q in range(q0 + gap, hi + 1):
-            yield (c0, q), first
-    for c in range(c0 + 1, len(sizes) + 1):
-        n = sizes[c - 1]
+    n = size[c0]
+    hi = min(n, first + n - gap) - max(0, rem - after[c0]) * gap
+    for q in range(q0 + gap, hi + 1):
+        yield (c0, q), first
+    for c in range(c0 + 1, len(size)):
+        n = size[c]
         need = max(0, rem - after[c])  # picks that must share circle c
         if need and n < (need + 1) * gap:
             return  # and every later circle has even less room
@@ -99,74 +101,68 @@ def _picks(sizes, gap: int, after: list[int], last: tuple[int, int],
             yield (c, q), q
 
 
-def _last_runs(sizes, gap: int, prefix: tuple, last: tuple[int, int],
-               first: int, pending):
-    """The runs that complete ``prefix``, whose last pick is ``last`` (``(0,
-    0)`` for the empty prefix) and whose first pick on that pick's circle is
-    ``first``: positions from ``last`` plus s + 1 to the wrap-around bound
-    back to ``first`` on that circle, then every position of each later
-    circle.  A ``pending`` fixed pair is the one position that completes a
-    selection: on a later circle, or on the same one within those bounds."""
-    c0, q0 = last
-    hi = min(sizes[c0 - 1], first + sizes[c0 - 1] - gap) if c0 else 0
-    if pending is not None:
-        c, q = pending
-        if c > c0 or q0 + gap <= q <= hi:
-            yield prefix, c, q, q
-        return
-    if q0 + gap <= hi:
-        yield prefix, c0, q0 + gap, hi
-    for c in range(c0 + 1, len(sizes) + 1):
-        yield prefix, c, 1, sizes[c - 1]
-
-
 def selection_runs(request: EnumerationRequest):
     """Yield the selections of ``request`` as runs ``(prefix, c, lo, hi)``:
     ``prefix + ((c, q),)`` is a selection for every ``lo <= q <= hi``, and
     expanding the runs in order gives ``selection_keys``.  Every run is
-    nonempty.  At k = 0 there is no run (the empty selection has no last
-    pick).
+    nonempty, and the runs of one prefix come out together, sharing one tuple
+    object, so a reader can work once per prefix.  At k = 0 there is no run
+    (the empty selection has no last pick).
 
     A depth-first search on an explicit stack, one entry per open depth but
-    the last: its candidate iterator, the picks before it, and ``fixed`` until
-    one of those is it, so a pop restores nothing.  Depth d takes the d-th
-    element of the selection, always after the one before it, so selections
-    come out in lexicographic order.  For positions increasing on one circle
-    it is enough that consecutive picks differ by at least s + 1 and that none
-    passes ``first + n - (s + 1)``, the wrap-around bound back to the circle's
-    first pick; every other pair is then farther apart.  A circle of size n
-    holds at most ``max(1, n // (s+1))`` picks.  Until ``fixed`` is taken, the
-    first candidate past it ends its depth.  The last depth is not searched:
-    each prefix of k - 1 picks gives one run on its last pick's circle and one
+    the last: its candidate iterator, the picks before it, and ``fixed``
+    until one of those is it, so a pop restores nothing.  Depth d takes the
+    d-th element of the selection, always after the one before it, so
+    selections come out in lexicographic order.  For positions increasing on
+    one circle it is enough that consecutive picks differ by at least s + 1
+    and that none passes ``first + n - (s + 1)``, the wrap-around bound back
+    to the circle's first pick; every other pair is then farther apart.  A
+    circle of size n holds at most ``max(1, n // (s+1))`` picks.  Until
+    ``fixed`` is taken, the first candidate past it ends its depth.  The last
+    depth is not searched: the entry whose candidates complete a prefix of
+    k - 1 picks is drained in one loop, each candidate giving one run on its
+    own circle, from s + 1 past it to the wrap-around bound, and one
     whole-circle run per later circle, or, with ``fixed`` still pending, the
-    one-position run of the fixed pair.
+    one-position run of the fixed pair.  At k = 1 the drained entry is the
+    empty prefix's, its one candidate the pick ``(0, 0)`` on no circle.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
     if k == 0:
         return
     gap = s + 1
-    if k == 1:  # the first depth is the last
-        yield from _last_runs(sizes, gap, (), (0, 0), 0, fixed)
-        return
-    after = [0] * (len(sizes) + 1)  # after[c]: most picks circles > c can hold
+    size = (0, *sizes)  # size[c]: circle c's size, for c >= 1
+    after = [0] * len(size)  # after[c]: most picks circles > c can hold
     for c in range(len(sizes) - 1, -1, -1):
-        after[c] = after[c + 1] + max(1, sizes[c] // gap)
-    stack = [(_picks(sizes, gap, after, (0, 0), 0, k - 1), (), fixed)]
+        after[c] = after[c + 1] + max(1, size[c + 1] // gap)
+    root = _picks(size, gap, after, (0, 0), 0, k - 1) if k > 1 else [((0, 0), 0)]
+    stack = [(iter(root), (), fixed)]
     while stack:
         candidates, prefix, pending = stack[-1]
+        if len(prefix) >= k - 2:  # each candidate completes a prefix
+            stack.pop()
+            for pair, first in candidates:
+                c0, q0 = pair
+                path = prefix + (pair,) if c0 else prefix  # (0, 0): no pick
+                n = size[c0]
+                hi = min(n, first + n - gap)
+                if pending is None or pair == pending:
+                    if q0 + gap <= hi:
+                        yield path, c0, q0 + gap, hi
+                    for c in range(c0 + 1, len(size)):
+                        yield path, c, 1, size[c]
+                elif pair > pending:
+                    break
+                elif pending[0] > c0 or q0 + gap <= pending[1] <= hi:
+                    yield path, *pending, pending[1]
+            continue
         pick = next(candidates, None)
         if pick is None or (pending is not None and pick[0] > pending):
             stack.pop()
             continue
         pair, first = pick
-        path = prefix + (pair,)
-        pending = None if pair == pending else pending
-        if len(path) < k - 1:
-            stack.append((_picks(sizes, gap, after, pair, first, k - len(path) - 1),
-                          path, pending))
-        else:
-            yield from _last_runs(sizes, gap, path, pair, first, pending)
+        stack.append((_picks(size, gap, after, pair, first, k - len(prefix) - 2),
+                      prefix + (pair,), None if pair == pending else pending))
 
 
 def selection_keys(request: EnumerationRequest):

@@ -209,14 +209,21 @@ def _oracle_count(sizes, s, k, walks=None) -> int:
 
 def _tally(request: EnumerationRequest) -> Counter:
     """The number of selections through each (circle, position) pair, in one
-    pass over the search's runs that keeps no selection: a run's length goes
-    to each pair of its prefix, and each distinct ``(c, lo, hi)`` adds its
-    number of runs to its positions once."""
+    pass over the search's runs that keeps no selection: a prefix's summed run
+    lengths go to each pair of that prefix once, when its last run is in, and
+    each distinct ``(c, lo, hi)`` adds its number of runs to its positions
+    once."""
     buckets, tails = Counter(), Counter()
+    last, total = (), 0
     for prefix, c, lo, hi in selection_runs(request):
-        for pair in prefix:
-            buckets[pair] += hi - lo + 1
+        if prefix is not last:  # one prefix's runs come out together
+            for pair in last:
+                buckets[pair] += total
+            last, total = prefix, 0
+        total += hi - lo + 1
         tails[c, lo, hi] += 1
+    for pair in last:
+        buckets[pair] += total
     for (c, lo, hi), runs in tails.items():
         for q in range(lo, hi + 1):
             buckets[c, q] += runs

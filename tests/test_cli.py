@@ -395,6 +395,24 @@ def test_enumerate_memory_does_not_grow_with_a_label_cache():
     assert mib < 128
 
 
+def test_enumerate_memory_stays_flat_over_a_huge_circle():
+    # the same million lines from the command itself, its stdout at
+    # os.devnull; the peak RSS of the one child of a second interpreter, which
+    # a table of every position's text pushed to 88 MiB
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'circsep', 'enumerate', '--sizes',"
+        " '1000000', '--s', '1', '--k', '1'], stdout=subprocess.DEVNULL,"
+        " check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    mib = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert mib < 40
+
+
 def test_enumerate_streams():
     # a family far too large to list: its first line must come out at once
     argv = [sys.executable, "-m", "circsep", "enumerate",

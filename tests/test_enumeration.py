@@ -242,6 +242,10 @@ def test_gap_search_properties(req):
 @example(request([3, 2], 0, 6))                  # k > N: no run
 @example(request([6, 5], 1, 3, Element(5, 2)))   # fixed pending at the last depth
 @example(request([7], 1, 3, Element(6, 1)))      # ... on the last pick's circle
+@example(request([6, 5], 1, 2))                  # k = 2: the root is drained
+@example(request([8, 4], 1, 2, Element(4, 1)))   # ... fixed past its first candidate
+@example(request([6, 5, 4], 1, 2, Element(3, 3)))  # ... fixed on a later circle
+@example(request([6, 5, 4], 1, 3, Element(4, 3)))  # the last circle's last position
 def test_runs_expand_to_the_selections(req):
     runs = list(selection_runs(req))
     assert all(lo <= hi for _, _, lo, hi in runs)
@@ -254,6 +258,22 @@ def test_runs_expand_to_the_selections(req):
             for q in range(lo, hi + 1)] == keys
     # verify's bucket tally, taken from the runs, counts what the tuples hold
     assert _tally(req) == Counter(itertools.chain.from_iterable(keys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(requests() | fixed_requests())
+@example(request([6, 5, 4], 1, 3, Element(4, 3)))  # one-position runs only
+def test_runs_of_one_prefix_come_out_together(req):
+    # the CLI and verify's tally work once per prefix, when the prefix object
+    # changes: each prefix is one object, and it never comes back
+    seen, last = set(), None
+    for prefix, *_ in selection_runs(req):
+        if prefix == last:
+            assert prefix is last
+        else:
+            assert prefix not in seen
+            seen.add(prefix)
+            last = prefix
 
 
 # ---------------------------------------------------------------------------
