@@ -4,13 +4,8 @@ Four subcommands cover the library surface:
 
 * ``count``      exact counts via closed forms, recursion, convolution, or
                  streaming enumeration
-* ``enumerate``  list the selections themselves, streamed from the search's
-                 runs (``enumeration.selection_runs``) with no selection
-                 objects built: a run's lines are one ``str.join`` of its last
-                 labels with the prefix's text, built once per prefix, between
-                 them; the first line is written at once, the rest in blocks
-                 of lines;
-                 ``enumeration.enumerate_gap`` is the object API
+* ``enumerate``  list the selections themselves, streamed from the search
+                 with no selection objects built
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
 * ``verify``     sweep the identity checks over a parameter grid
@@ -42,7 +37,7 @@ from .core import (CircleSystem, DomainError, Element, InvariantViolation,
 from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
 from .enumeration import (EnumerationRequest, count_by_enumeration,
-                          selection_keys, selection_runs)
+                          selection_runs)
 from .verify import (CHECKS, SweepGrid, overall_pass, render_table,
                      to_json_lines, verify_all)
 
@@ -178,41 +173,40 @@ _BLOCK = 2048  # lines per write after the first
 
 def _blocks(request, limit):
     """The lines of ``request``'s selections, at most ``limit``: the first
-    alone, then blocks of ``_BLOCK``.  A run, cut at block ends and ``limit``,
-    is one join of its last labels with the prefix's text between them; that
-    text is built once per prefix, when the prefix object changes.
-    ``texts[q]`` is ``str(q)``, grown by a piece that ends past it and starts
-    at most one past its end, up to ``_BLOCK`` entries; other labels, and
-    picks far along a huge circle, are formatted by ``str``."""
+    alone, then blocks of ``_BLOCK``.  Each item of ``selection_runs`` builds
+    its prefix's text once; a run, cut at block ends and ``limit``, is one
+    join of its last labels with that text between them.  ``texts[q]`` is
+    ``str(q)``, grown by a piece that ends past it and starts at most one
+    past its end, up to ``_BLOCK`` entries; other labels, and picks far along
+    a huge circle, are formatted by ``str``."""
     if limit == 0:
         return
-    if request.params.k == 0:  # the empty selection is in no run
-        yield from ("\n" for _ in selection_keys(request))
-        return
+    if request.params.k == 0 and request.fixed is None:
+        yield "\n"  # the empty selection, in no item
     mid = [f"@{c}," for c in range(request.system.num_circles + 1)]
     tails = [label[:-1] + "\n" for label in mid]
     texts, parts, count, cut = ["0"], [], 0, 1  # this block ends after line cut
-    last = None
-    for prefix, c, lo, hi in selection_runs(request):
-        if prefix is not last:
-            last, head = prefix, ""
-            for d, p in prefix:
-                head += (texts[p] if p < len(texts) else str(p)) + mid[d]
-        while lo <= hi:
-            end = min(hi, lo + cut - count - 1)
-            if lo <= len(texts) <= end < _BLOCK:
-                texts.extend(map(str, range(len(texts), end + 1)))
-            labels = (texts[lo:end + 1] if end < len(texts)
-                      else map(str, range(lo, end + 1)))
-            parts.append(head + (tails[c] + head).join(labels) + tails[c])
-            count += end - lo + 1
-            lo = end + 1
-            if count == cut:
-                yield "".join(parts)
-                if count == limit:
-                    return
-                parts = []
-                cut = count + _BLOCK if limit is None else min(count + _BLOCK, limit)
+    for prefix, runs in selection_runs(request):
+        head = ""
+        for d, p in prefix:
+            head += (texts[p] if p < len(texts) else str(p)) + mid[d]
+        for c, lo, hi in runs:
+            while lo <= hi:
+                end = min(hi, lo + cut - count - 1)
+                if lo <= len(texts) <= end < _BLOCK:
+                    texts.extend(map(str, range(len(texts), end + 1)))
+                labels = (texts[lo:end + 1] if end < len(texts)
+                          else map(str, range(lo, end + 1)))
+                parts.append(head + (tails[c] + head).join(labels) + tails[c])
+                count += end - lo + 1
+                lo = end + 1
+                if count == cut:
+                    yield "".join(parts)
+                    if count == limit:
+                        return
+                    parts = []
+                    cut = (count + _BLOCK if limit is None
+                           else min(count + _BLOCK, limit))
     if parts:
         yield "".join(parts)
 

@@ -3,26 +3,19 @@
 Two generators produce the same family of sets.  ``enumerate_naive`` filters
 every k-subset of the ground set and is deliberately simple: it is the oracle
 everything else is measured against.  The pruned side is one depth-first
-search over the canonical (circle, position) order: each depth picks the next
-element after the previous one, on the same circle at least ``s + 1`` further
-on and within the wrap-around gap back to that circle's first pick, or on a
-later circle.  A branch is cut as soon as the circles left cannot hold the
-rest of k.  The last depth is not searched: given the first k - 1 picks, the
-positions that complete a selection form one interval per circle.  Both
-yield selections in lexicographic order of the canonical (circle, position)
-serialization, so output is deterministic and directly comparable.
-
-``selection_runs`` is the search's raw output: runs ``(prefix, c, lo, hi)``,
-a shared prefix of k - 1 picks and the interval of last positions on circle
-c that complete it, so a consumer pays per run for what the run's selections
-share.  The runs of one prefix come out together and share one tuple object,
-so a consumer can also pay once per prefix.  ``count_by_enumeration`` sums run
-lengths; the ``enumerate`` command formats each prefix once and joins a run's
-last labels with it, one ``str.join`` per run, writing the first line at once
-and the rest in blocks of lines; verify's bucket checks add a prefix's summed
-run lengths to its picks once.  ``selection_keys`` expands the runs into one
-increasing tuple of (circle, position) pairs per selection, and
-``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``.
+search over the canonical (circle, position) order, ``selection_runs``: each
+depth picks the next element after the previous one, on the same circle at
+least ``s + 1`` further on and within the wrap-around gap back to that
+circle's first pick, or on a later circle.  A branch is cut as soon as the
+circles left cannot hold the rest of k.  The last depth is not searched:
+given the first k - 1 picks, the positions that complete a selection form
+one interval per circle, so the search yields each prefix once with its runs
+of last positions.  ``count_by_enumeration`` sums run lengths,
+``selection_keys`` expands the runs into one increasing tuple of (circle,
+position) pairs per selection, and ``enumerate_gap``, the object API, wraps
+each tuple in a ``SelectionSet``.  All of them yield selections in
+lexicographic order of the canonical (circle, position) serialization, so
+output is deterministic and directly comparable.
 """
 
 from __future__ import annotations
@@ -56,25 +49,21 @@ def enumerate_naive(request: EnumerationRequest):
     Yields every s-separated k-subset (containing ``fixed`` when given) in
     lexicographic order of canonical serialization.
     """
-    system, s, k = request.system, request.params.s, request.params.k
-    fixed = request.fixed
-    sizes = system.sizes
+    sizes, s, k = request.system.sizes, request.params.s, request.params.k
     ground = [(c, p) for c, n in enumerate(sizes, 1) for p in range(1, n + 1)]
-    fixed_pair = (fixed.circle, fixed.position) if fixed is not None else None
+    fixed_pair = request.fixed.key if request.fixed is not None else None
     least = s + 1
     for combo in itertools.combinations(ground, k):
         if fixed_pair is not None and fixed_pair not in combo:
             continue
-        ok = True
         for (c1, p1), (c2, p2) in itertools.combinations(combo, 2):
             if c1 != c2:
                 continue
             n = sizes[c1 - 1]
             d = p1 - p2 if p1 > p2 else p2 - p1
             if d < least or n - d < least:
-                ok = False
                 break
-        if ok:
+        else:  # no pair too close
             yield _selection(combo)
 
 
@@ -102,12 +91,12 @@ def _picks(size, gap: int, after: list[int], last: tuple[int, int],
 
 
 def selection_runs(request: EnumerationRequest):
-    """Yield the selections of ``request`` as runs ``(prefix, c, lo, hi)``:
-    ``prefix + ((c, q),)`` is a selection for every ``lo <= q <= hi``, and
-    expanding the runs in order gives ``selection_keys``.  Every run is
-    nonempty, and the runs of one prefix come out together, sharing one tuple
-    object, so a reader can work once per prefix.  At k = 0 there is no run
-    (the empty selection has no last pick).
+    """Yield the selections of ``request`` as items ``(prefix, runs)``, one
+    per prefix of k - 1 picks and each prefix once: ``runs`` is a nonempty
+    tuple of runs ``(c, lo, hi)``, and ``prefix + ((c, q),)`` is a selection
+    for each run in order and each ``lo <= q <= hi``, so expanding the items
+    in order gives ``selection_keys``.  At k = 0 there is no item (the empty
+    selection has no last pick); at k = 1 there is one, the empty prefix's.
 
     A depth-first search on an explicit stack, one entry per open depth but
     the last: its candidate iterator, the picks before it, and ``fixed``
@@ -120,11 +109,14 @@ def selection_runs(request: EnumerationRequest):
     circle of size n holds at most ``max(1, n // (s+1))`` picks.  Until
     ``fixed`` is taken, the first candidate past it ends its depth.  The last
     depth is not searched: the entry whose candidates complete a prefix of
-    k - 1 picks is drained in one loop, each candidate giving one run on its
-    own circle, from s + 1 past it to the wrap-around bound, and one
-    whole-circle run per later circle, or, with ``fixed`` still pending, the
-    one-position run of the fixed pair.  At k = 1 the drained entry is the
-    empty prefix's, its one candidate the pick ``(0, 0)`` on no circle.
+    k - 1 picks is drained in one loop.  A candidate's runs are the one on
+    its own circle c, from s + 1 past it to the wrap-around bound, when that
+    is not empty, then ``later[c]``, the circles after c whole: one tuple,
+    built when a prefix first ends on c and shared by every prefix after it
+    that does, so it costs no more than the runs it gives.  With ``fixed``
+    still pending the runs are ``lone``, the fixed pair's one-position run,
+    built once.  At k = 1 the drained entry is the empty prefix's, its one
+    candidate the pick ``(0, 0)`` on no circle.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -135,6 +127,9 @@ def selection_runs(request: EnumerationRequest):
     after = [0] * len(size)  # after[c]: most picks circles > c can hold
     for c in range(len(sizes) - 1, -1, -1):
         after[c] = after[c + 1] + max(1, size[c + 1] // gap)
+    whole = tuple((c, 1, n) for c, n in enumerate(sizes, 1))  # whole[c - 1]: circle c
+    later = [None] * len(size)  # later[c]: whole[c:], once a prefix needs it
+    lone = ((*fixed, fixed[1]),) if fixed is not None else None
     root = _picks(size, gap, after, (0, 0), 0, k - 1) if k > 1 else [((0, 0), 0)]
     stack = [(iter(root), (), fixed)]
     while stack:
@@ -147,14 +142,15 @@ def selection_runs(request: EnumerationRequest):
                 n = size[c0]
                 hi = min(n, first + n - gap)
                 if pending is None or pair == pending:
-                    if q0 + gap <= hi:
-                        yield path, c0, q0 + gap, hi
-                    for c in range(c0 + 1, len(size)):
-                        yield path, c, 1, size[c]
+                    runs = later[c0]
+                    if runs is None:
+                        runs = later[c0] = whole[c0:]
+                    yield path, (((c0, q0 + gap, hi),) + runs
+                                 if q0 + gap <= hi else runs)
                 elif pair > pending:
                     break
                 elif pending[0] > c0 or q0 + gap <= pending[1] <= hi:
-                    yield path, *pending, pending[1]
+                    yield path, lone
             continue
         pick = next(candidates, None)
         if pick is None or (pending is not None and pick[0] > pending):
@@ -168,17 +164,16 @@ def selection_runs(request: EnumerationRequest):
 def selection_keys(request: EnumerationRequest):
     """Yield the selections of ``request`` as increasing tuples of (circle,
     position) pairs, the same sets in the same order as ``enumerate_gap``,
-    without building an ``Element`` or a ``SelectionSet``: the runs of
+    without building an ``Element`` or a ``SelectionSet``: the items of
     ``selection_runs`` expanded, and the empty selection at k = 0 unless an
     element is fixed.
     """
-    if request.params.k == 0:
-        if request.fixed is None:
-            yield ()
-        return
-    for prefix, c, lo, hi in selection_runs(request):
-        for q in range(lo, hi + 1):
-            yield prefix + ((c, q),)
+    if request.params.k == 0 and request.fixed is None:
+        yield ()  # the empty selection, in no item
+    for prefix, runs in selection_runs(request):
+        for c, lo, hi in runs:
+            for q in range(lo, hi + 1):
+                yield prefix + ((c, q),)
 
 
 def enumerate_gap(request: EnumerationRequest):
@@ -189,6 +184,6 @@ def enumerate_gap(request: EnumerationRequest):
 
 def count_by_enumeration(request: EnumerationRequest) -> int:
     """Count by streaming the pruned search's runs; exact for any parameters."""
-    if request.params.k == 0:  # the empty selection, in no run
-        return int(request.fixed is None)
-    return sum(hi - lo + 1 for _, _, lo, hi in selection_runs(request))
+    empty = request.params.k == 0 and request.fixed is None  # in no item
+    return empty + sum(hi - lo + 1 for _, runs in selection_runs(request)
+                       for _, lo, hi in runs)

@@ -20,7 +20,7 @@ grid order and keeps, for that call only, the length of each ``system-fixed``
 walk in a dict (ints, not buckets, so memory stays flat), passed only to the
 two ``system`` checks: ``_bucket_report`` stores a walk's count there, and
 ``_oracle_count`` takes it for the ``system`` point of the same size tuple
-instead of walking the same family again.  ``jobs > 1`` and a bare
+instead of walking the same family again.  A pool of workers and a bare
 ``evaluate_point`` share no walks.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -209,21 +210,17 @@ def _oracle_count(sizes, s, k, walks=None) -> int:
 
 def _tally(request: EnumerationRequest) -> Counter:
     """The number of selections through each (circle, position) pair, in one
-    pass over the search's runs that keeps no selection: a prefix's summed run
-    lengths go to each pair of that prefix once, when its last run is in, and
-    each distinct ``(c, lo, hi)`` adds its number of runs to its positions
-    once."""
+    pass over the search's items that keeps no selection: an item's summed
+    run lengths go to each pick of its prefix, and each distinct
+    ``(c, lo, hi)`` adds its number of runs to its positions once."""
     buckets, tails = Counter(), Counter()
-    last, total = (), 0
-    for prefix, c, lo, hi in selection_runs(request):
-        if prefix is not last:  # one prefix's runs come out together
-            for pair in last:
-                buckets[pair] += total
-            last, total = prefix, 0
-        total += hi - lo + 1
-        tails[c, lo, hi] += 1
-    for pair in last:
-        buckets[pair] += total
+    for prefix, runs in selection_runs(request):
+        total = 0
+        for run in runs:
+            total += run[2] - run[1] + 1
+            tails[run] += 1
+        for pair in prefix:
+            buckets[pair] += total
     for (c, lo, hi), runs in tails.items():
         for q in range(lo, hi + 1):
             buckets[c, q] += runs
@@ -388,15 +385,20 @@ def evaluate_point(point: tuple) -> IdentityReport:
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:
-    """Evaluate every selected check over the grid; canonical report order."""
+    """Evaluate every selected check over the grid; canonical report order.
+    The job count is capped at the CPUs this process may run on, since a
+    process pool starts all its workers at once; one job runs in this
+    process, more in a pool of that many workers."""
     points = grid_points(grid)
-    if grid.jobs == 1:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if jobs == 1:
         walks: dict = {}  # dropped on return: nothing outlives this call
         # popped: each report builds its own params, so the grid's go as they are done
         reports = [evaluate_point((*points.pop(), walks)) for _ in range(len(points))]
         return reports[::-1]
-    chunk = max(1, len(points) // (grid.jobs * 8))
-    with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
+    chunk = max(1, len(points) // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(evaluate_point, points, chunksize=chunk))
 
 

@@ -335,9 +335,9 @@ def test_enumerate_limit_allocates_nothing_per_position():
 
 
 # the 5th run of sizes 12,12, s=1, k=4 ends on this line
-RUN_END = list(itertools.accumulate(
-    hi - lo + 1 for *_, lo, hi in itertools.islice(selection_runs(
-        EnumerationRequest(CircleSystem((12, 12)), SeparationParams(1, 4))), 5)))[-1]
+RUN_END = sum(hi - lo + 1 for _, lo, hi in itertools.islice(
+    itertools.chain.from_iterable(runs for _, runs in selection_runs(
+        EnumerationRequest(CircleSystem((12, 12)), SeparationParams(1, 4)))), 5))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter, defaultdict
 from math import comb
 
@@ -246,15 +247,18 @@ def test_gap_search_properties(req):
 @example(request([8, 4], 1, 2, Element(4, 1)))   # ... fixed past its first candidate
 @example(request([6, 5, 4], 1, 2, Element(3, 3)))  # ... fixed on a later circle
 @example(request([6, 5, 4], 1, 3, Element(4, 3)))  # the last circle's last position
+# up to nine later circles per prefix, free and through the last position
+@example(request([2, 2, 2, 2, 3, 3, 3, 3, 3, 5], 1, 5))
+@example(request([2, 2, 2, 2, 3, 3, 3, 3, 3, 5], 1, 5, Element(5, 10)))
 def test_runs_expand_to_the_selections(req):
-    runs = list(selection_runs(req))
-    assert all(lo <= hi for _, _, lo, hi in runs)
+    items = list(selection_runs(req))
+    assert all(lo <= hi for _, runs in items for _, lo, hi in runs)
     keys = list(selection_keys(req))
     assert keys == [sel.key for sel in enumerate_naive(req)]
     if req.params.k == 0:  # the empty selection, or nothing, and no run
-        assert (runs, keys) == ([], [] if req.fixed else [()])
+        assert (items, keys) == ([], [] if req.fixed else [()])
         return
-    assert [prefix + ((c, q),) for prefix, c, lo, hi in runs
+    assert [prefix + ((c, q),) for prefix, runs in items for c, lo, hi in runs
             for q in range(lo, hi + 1)] == keys
     # verify's bucket tally, taken from the runs, counts what the tuples hold
     assert _tally(req) == Counter(itertools.chain.from_iterable(keys))
@@ -263,17 +267,35 @@ def test_runs_expand_to_the_selections(req):
 @settings(max_examples=150, deadline=None)
 @given(requests() | fixed_requests())
 @example(request([6, 5, 4], 1, 3, Element(4, 3)))  # one-position runs only
+@example(request([4, 3], 1, 0))                    # k = 0: no item
 def test_runs_of_one_prefix_come_out_together(req):
-    # the CLI and verify's tally work once per prefix, when the prefix object
-    # changes: each prefix is one object, and it never comes back
-    seen, last = set(), None
-    for prefix, *_ in selection_runs(req):
-        if prefix == last:
-            assert prefix is last
-        else:
-            assert prefix not in seen
-            seen.add(prefix)
-            last = prefix
+    # one item per prefix of k - 1 picks, its runs a nonempty tuple of
+    # nonempty intervals on the circles, and no prefix comes twice
+    sizes, k = req.system.sizes, req.params.k
+    items = list(selection_runs(req))
+    if k == 0:
+        assert items == []
+    prefixes = [prefix for prefix, _ in items]
+    assert len(set(prefixes)) == len(prefixes)
+    for prefix, runs in items:
+        assert type(prefix) is tuple and len(prefix) == k - 1
+        assert type(runs) is tuple and runs
+        for run in runs:
+            c, lo, hi = run
+            assert 1 <= lo <= hi <= sizes[c - 1]
+
+
+def test_many_circles_cost_memory_in_proportion_to_the_runs():
+    # at k = 1 the one item holds every circle whole: the later circles' runs
+    # are built for the circles prefixes end on, not for every circle up front
+    req = request([5] * 2000, 1, 1)
+    tracemalloc.start()
+    try:
+        assert count_by_enumeration(req) == 10_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
@@ -163,9 +164,10 @@ def _wrap_walks(monkeypatch, drop_first_of=None):
 
     def wrapped(request):
         runs = selection_runs(request)
-        if record(request):  # the first run loses its first position
-            prefix, c, lo, hi = next(runs)
-            runs = itertools.chain([(prefix, c, lo + 1, hi)] if lo < hi else [], runs)
+        if record(request):  # the first item's first run loses its first position
+            prefix, ((c, lo, hi), *rest) = next(runs)
+            first = ((c, lo + 1, hi),) if lo < hi else ()
+            runs = itertools.chain([(prefix, first + tuple(rest))], runs)
         return runs
 
     def counted(request):
@@ -295,6 +297,52 @@ def test_job_count_does_not_change_reports():
     grid1 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=1)
     grid3 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=3)
     assert to_json_lines(verify_all(grid1)) == to_json_lines(verify_all(grid3))
+
+
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # a stand-in pool that maps in process: no worker process is started by
+    # this test, whatever job count it asks for
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            started.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    # three CPUs, by either count verify may read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    small = dict(max_size=6, max_k=2, max_s=1)
+    expected = to_json_lines(verify_all(SweepGrid(**small)))
+    points = len(grid_points(SweepGrid(**small)))
+
+    def pool_shape(jobs):
+        started.clear()
+        assert to_json_lines(verify_all(SweepGrid(**small, jobs=jobs))) == expected
+        return started
+
+    for jobs, workers in ((2, 2), (3, 3), (4, 3), (100_000, 3)):
+        assert pool_shape(jobs) == [workers, max(1, points // (workers * 8))]
+    # one CPU: no pool, the points run in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_shape(100_000) == []
+    # without the process's CPU set, the machine's count, or one when unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert pool_shape(100_000) == [2, max(1, points // 16)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_shape(100_000) == []
 
 
 # ---------------------------------------------------------------------------
