@@ -169,33 +169,30 @@ def _cmd_count(args) -> int:
 
 
 _BLOCK = 2048  # lines per write after the first
+_TEXTS = tuple(map(str, range(_BLOCK)))  # str(q) at index q, built at import
 
 
 def _blocks(request, limit):
     """The lines of ``request``'s selections, at most ``limit``: the first
     alone, then blocks of ``_BLOCK``.  Each item of ``selection_runs`` builds
     its prefix's text once; a run, cut at block ends and ``limit``, is one
-    join of its last labels with that text between them.  ``texts[q]`` is
-    ``str(q)``, grown by a piece that ends past it and starts at most one
-    past its end, up to ``_BLOCK`` entries; other labels, and picks far along
-    a huge circle, are formatted by ``str``."""
+    join of its last labels with that text between them.  A piece ending
+    below ``_BLOCK`` and a pick below it read ``_TEXTS``, the rest ``str``."""
     if limit == 0:
         return
     if request.params.k == 0 and request.fixed is None:
         yield "\n"  # the empty selection, in no item
     mid = [f"@{c}," for c in range(request.system.num_circles + 1)]
     tails = [label[:-1] + "\n" for label in mid]
-    texts, parts, count, cut = ["0"], [], 0, 1  # this block ends after line cut
+    parts, count, cut = [], 0, 1  # this block ends after line cut
     for prefix, runs in selection_runs(request):
         head = ""
         for d, p in prefix:
-            head += (texts[p] if p < len(texts) else str(p)) + mid[d]
+            head += (_TEXTS[p] if p < _BLOCK else str(p)) + mid[d]
         for c, lo, hi in runs:
             while lo <= hi:
                 end = min(hi, lo + cut - count - 1)
-                if lo <= len(texts) <= end < _BLOCK:
-                    texts.extend(map(str, range(len(texts), end + 1)))
-                labels = (texts[lo:end + 1] if end < len(texts)
+                labels = (_TEXTS[lo:end + 1] if end < _BLOCK
                           else map(str, range(lo, end + 1)))
                 parts.append(head + (tails[c] + head).join(labels) + tails[c])
                 count += end - lo + 1

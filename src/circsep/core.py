@@ -265,6 +265,7 @@ def unflatten(i: int, system: CircleSystem) -> Element:
     ``flatten(unflatten(i)) == i`` holds for every i in ``1 .. n_1 + n_2``.
     """
     n1, n2 = _require_two_circles(system, "unflatten")
+    _require_ints("unflatten", position=i)
     if not 1 <= i <= n1 + n2:
         raise DomainError(f"unflatten requires positions in 1..{n1 + n2}, got {i}")
     return Element(i, 1) if i <= n1 else Element(i - n1, 2)

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import math
 
-from .core import CircleSystem, Element, InvariantViolation, _check_bounds
+from .core import (CircleSystem, Element, InvariantViolation, _check_bounds,
+                   _require_ints)
 
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the zero conventions used throughout:
     0 when k < 0, k > n, or n < 0; and C(n, 0) = 1 for n >= 0."""
+    if type(n) is not int or type(k) is not int:
+        _require_ints("binomial", n=n, k=k)
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)

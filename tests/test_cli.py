@@ -359,6 +359,34 @@ def test_enumerate_edge_shapes_print_what_the_library_formats(fmt, sizes, k,
     assert call(argv) == (0, library_output(sizes, 1, k, fixed, limit, fmt), "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sizes, s, k, fixed, limit", [
+    # last labels 2,042-2,071: runs that end past _BLOCK and start below it,
+    # at it or past it
+    ((4100,), 2040, 2, None, 300),
+    # a prefix pick, 2050@2, past the label table
+    ((3, 4100), 2040, 3, Element(2050, 2), None),
+    # three runs of 1,046 that end on 2,047, 2,048 and 2,049; the first
+    # block ends inside the second
+    ((3047,), 1000, 2, None, 3 * 1046),
+])
+def test_enumerate_across_the_label_table_end_prints_the_library_keys(
+        fmt, sizes, s, k, fixed, limit):
+    argv = ["enumerate", "--sizes", ",".join(map(str, sizes)), "--s", str(s),
+            "--k", str(k), "--format", fmt]
+    if fixed is not None:
+        argv += ["--fixed", str(fixed)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    keys = itertools.islice(selection_keys(EnumerationRequest(
+        CircleSystem(sizes), SeparationParams(s, k), fixed)), limit)
+    sels = [[f"{q}@{c}" for c, q in key] for key in keys]
+    expected = (json.dumps(sels, separators=(",", ":")) + "\n" if fmt == "json"
+                else "".join(",".join(sel) + "\n" for sel in sels))
+    assert len(sels) == (limit or 57)
+    assert call(argv) == (0, expected, "")
+
+
 def test_enumerate_late_fixed_element_grows_no_table():
     # the one line printed has a last position near the end of a million:
     # a table of labels up to it would hold about 60 MB

@@ -7,7 +7,7 @@ from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, circular_distance, flatten,
                           format_flat_selection, is_s_separated, parse_element,
                           parse_flat_selection, parse_selection, unflatten)
-from circsep.counting import count_circle, count_system_fixed
+from circsep.counting import binomial, count_circle, count_system_fixed
 from circsep.verify import SweepGrid
 
 
@@ -85,20 +85,46 @@ def test_separation_params_validation():
             SeparationParams(s, k)
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: Element(True, 1), id="Element"),
-    pytest.param(lambda: CircleSystem((True, 2)), id="CircleSystem"),
-    pytest.param(lambda: SeparationParams(False, 1), id="SeparationParams"),
-    pytest.param(lambda: is_s_separated(SelectionSet(), CircleSystem((4,)), s=True),
+@pytest.mark.parametrize("op, build", [
+    pytest.param("Element", lambda: Element(True, 1), id="Element"),
+    pytest.param("CircleSystem", lambda: CircleSystem((True, 2)), id="CircleSystem"),
+    pytest.param("SeparationParams", lambda: SeparationParams(False, 1),
+                 id="SeparationParams"),
+    pytest.param("is_s_separated",
+                 lambda: is_s_separated(SelectionSet(), CircleSystem((4,)), s=True),
                  id="is_s_separated"),
-    pytest.param(lambda: count_circle(8, True, 2), id="count_circle"),
-    pytest.param(lambda: SweepGrid(jobs=True), id="SweepGrid"),
-    pytest.param(lambda: backward((1, True), CircleSystem((4, 3)), 1), id="backward"),
+    pytest.param("count_circle", lambda: count_circle(8, True, 2), id="count_circle"),
+    pytest.param("SweepGrid", lambda: SweepGrid(jobs=True), id="SweepGrid"),
+    pytest.param("backward", lambda: backward((1, True), CircleSystem((4, 3)), 1),
+                 id="backward"),
+    pytest.param("binomial", lambda: binomial(5, True), id="binomial"),
+    pytest.param("unflatten", lambda: unflatten(True, CircleSystem((3, 4))),
+                 id="unflatten"),
 ])
-def test_a_bool_is_not_an_integer_argument(build):
+def test_a_bool_is_not_an_integer_argument(op, build):
     # str(Element(True, 1)) would be "True@1", a label parse_element cannot read
-    with pytest.raises(ValueError, match="requires an integer"):
+    with pytest.raises(ValueError, match=f"^{op} requires an integer"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: binomial(5, 1.5),
+                 "binomial requires an integer k, got k=1.5", id="binomial-float-k"),
+    pytest.param(lambda: binomial(5.0, 2),
+                 "binomial requires an integer n, got n=5.0", id="binomial-float-n"),
+    pytest.param(lambda: binomial("5", 2),
+                 "binomial requires an integer n, got n='5'", id="binomial-str"),
+    pytest.param(lambda: unflatten(2.0, CircleSystem((3, 4))),
+                 "unflatten requires an integer position, got position=2.0",
+                 id="unflatten-float"),
+    pytest.param(lambda: unflatten("3", CircleSystem((3, 4))),
+                 "unflatten requires an integer position, got position='3'",
+                 id="unflatten-str"),
+])
+def test_binomial_and_unflatten_refuse_floats_and_strings(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_integers_are_checked_before_lower_bounds():
