@@ -21,7 +21,8 @@ walk in a dict (ints, not buckets, so memory stays flat), passed only to the
 two ``system`` checks: ``_bucket_report`` stores a walk's count there, and
 ``_oracle_count`` takes it for the ``system`` point of the same size tuple
 instead of walking the same family again.  A pool of workers and a bare
-``evaluate_point`` share no walks.
+``evaluate_point`` share no walks.  The pool's module is imported only when a
+pool runs.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import itertools
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bijection import check_bijectivity
 from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
@@ -123,6 +122,7 @@ def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
     Evaluated on the corrected identity's domain, in exact rational
     arithmetic, and reported as-is.
     """
+    from fractions import Fraction
     return _fixed_sum(
         "fixed-sum-printed", "printed fixed-sum variant", m, n, s, k,
         lambda j: Fraction(m, m - s * j) * binomial(m - s * j, j - 1))
@@ -397,6 +397,7 @@ def verify_all(grid: SweepGrid) -> list[IdentityReport]:
         # popped: each report builds its own params, so the grid's go as they are done
         reports = [evaluate_point((*points.pop(), walks)) for _ in range(len(points))]
         return reports[::-1]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(points) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(evaluate_point, points, chunksize=chunk))

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -819,3 +820,55 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "50\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# loaded only by a verify pool (--jobs >= 2) and the printed fixed-sum check
+POOL_AND_FRACTIONS = {"concurrent.futures", "concurrent.futures.process",
+                      "multiprocessing", "fractions"}
+COLD_START_ARGVS = [
+    ["count", "--sizes", "8,7", "--s", "2", "--k", "3"],
+    ["count", "--sizes", "8,7", "--s", "2", "--k", "3", "--format", "json"],
+    ["enumerate", "--sizes", "16,16,17", "--s", "2", "--k", "4", "--limit", "5"],
+    ["bijection", "backward", "--sizes", "10,10", "--s", "1",
+     "--set", "1,3,5,8,10,17,19", "--trace"],
+    ["verify", "--checks", "divisibility", "--max-size", "4", "--jobs", "1"],
+]
+
+
+def newly_loaded(body):
+    """Exit codes and modules loaded by ``body`` in a fresh interpreter on
+    this tree's ``src``; modules loaded before it ran (by ``site`` hooks,
+    say) do not count.  ``body`` puts its exit codes in ``rcs``."""
+    code = ("import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            f"{body}"
+            "print(*rcs)\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *_, rcs, modules = proc.stdout.splitlines()
+    return rcs.split(), set(modules.split())
+
+
+def test_cold_start_loads_no_pool_and_no_fractions():
+    # a command that runs no pool pays nothing for one at import
+    rcs, modules = newly_loaded(
+        "import circsep.cli\n"
+        f"rcs = [circsep.cli.main(argv) for argv in {COLD_START_ARGVS!r}]\n")
+    assert rcs == ["0"] * len(COLD_START_ARGVS)
+    assert "circsep.verify" in modules
+    assert not modules & POOL_AND_FRACTIONS
+    # the same through the package's __main__, as python -m circsep runs it
+    rcs, modules = newly_loaded(
+        "sys.argv = ['circsep', 'count', '--sizes', '10', '--s', '1', '--k', '3']\n"
+        "try:\n"
+        "    runpy.run_module('circsep', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    rcs = [exit.code]\n")
+    assert rcs == ["0"]
+    assert "circsep.verify" in modules
+    assert not modules & POOL_AND_FRACTIONS

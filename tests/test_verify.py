@@ -318,7 +318,8 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
             started.append(chunksize)
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    # verify_all imports the name from concurrent.futures when a pool starts
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     # three CPUs, by either count verify may read
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
