@@ -1,6 +1,6 @@
 """Sweep harness: grind every identity against the enumeration oracle.
 
-``verify_all`` walks a parameter grid and evaluates a family of named checks,
+``verify_all`` sweeps a parameter grid and evaluates a family of named checks,
 one report per parameter point.  Each report compares a left and a right value
 (exact decimal strings) and passes exactly when they are equal; points whose
 parameters fall outside a check's precondition become skipped entries with a
@@ -11,18 +11,12 @@ circulated but misprinted variant of the fixed-element sum (binomial exponent
 ``j - 1`` instead of ``j`` in the second factor) and records that it fails.
 Its failures are expected and do not count against the overall verdict.
 
-Every evaluator takes a point's parameters as keywords.  Evaluation is
-embarrassingly parallel over points and every check is a pure function of its
-parameters, so reports are assembled in canonical grid order regardless of how
-many worker processes ran them; output for a fixed grid is byte-identical for
-any job count.  With one job, ``verify_all`` evaluates the points in reverse
-grid order and keeps, for that call only, the length of each ``system-fixed``
-walk in a dict (ints, not buckets, so memory stays flat), passed only to the
-two ``system`` checks: ``_bucket_report`` stores a walk's count there, and
-``_oracle_count`` takes it for the ``system`` point of the same size tuple
-instead of walking the same family again.  A pool of workers and a bare
-``evaluate_point`` share no walks.  The pool's module is imported only when a
-pool runs.
+Every evaluator takes a point's parameters as keywords, and every point is
+evaluated by itself: its report is a pure function of its parameters, so
+points may run in any order and in any process.  Reports are assembled in
+canonical grid order; the job count changes only where the points run, and
+output for a fixed grid is byte-identical for any job count.  The pool's
+module is imported only when a pool runs.
 """
 
 from __future__ import annotations
@@ -198,46 +192,44 @@ def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
 # per-point evaluation (pure; runs in worker processes)
 
 
-def _oracle_count(sizes, s, k, walks=None) -> int:
-    """The number of s-separated k-selections on ``sizes``: the count a bucket
-    walk of the same ``(sizes, s, k)`` left in ``walks``, or a fresh walk."""
-    key = (tuple(sizes), s, k)
-    if walks and key in walks:
-        return walks.pop(key)
+def _oracle_count(sizes, s, k) -> int:
+    """The number of s-separated k-selections on ``sizes``, by enumeration."""
     return count_by_enumeration(EnumerationRequest(
-        CircleSystem(key[0]), SeparationParams(s, k)))
+        CircleSystem(tuple(sizes)), SeparationParams(s, k)))
 
 
 def _tally(request: EnumerationRequest) -> Counter:
     """The number of selections through each (circle, position) pair, in one
-    pass over the search's items that keeps no selection: an item's summed
-    run lengths go to each pick of its prefix, and each distinct
-    ``(c, lo, hi)`` adds its number of runs to its positions once."""
-    buckets, tails = Counter(), Counter()
+    pass over the search's items: each run ``(c, lo, hi)`` marks its ends in
+    circle c's difference row, each pick of a prefix gets the item's summed
+    run lengths, and one running sum per circle adds the rows up."""
+    rows = [[0] * (n + 2) for n in (0, *request.system.sizes)]
+    picks = [[0] * (n + 1) for n in (0, *request.system.sizes)]
     for prefix, runs in selection_runs(request):
         total = 0
-        for run in runs:
-            total += run[2] - run[1] + 1
-            tails[run] += 1
-        for pair in prefix:
-            buckets[pair] += total
-    for (c, lo, hi), runs in tails.items():
-        for q in range(lo, hi + 1):
-            buckets[c, q] += runs
+        for c, lo, hi in runs:
+            total += hi - lo + 1
+            row = rows[c]
+            row[lo] += 1
+            row[hi + 1] -= 1
+        for c, q in prefix:
+            picks[c][q] += total
+    buckets = Counter()
+    for c in range(1, len(rows)):
+        row, got = rows[c], picks[c]
+        for q in range(1, len(got)):
+            row[q] += row[q - 1]
+            buckets[c, q] = got[q] + row[q]
     return buckets
 
 
-def _bucket_report(check: str, params: dict, sizes, s, k, closed_on: dict,
-                   walks=None) -> IdentityReport:
+def _bucket_report(check: str, params: dict, sizes, s, k,
+                   closed_on: dict) -> IdentityReport:
     """Compare, for every element of each circle in ``closed_on`` (circle ->
     its closed form), the closed form with the number of s-separated
-    k-selections through that element (``_tally``).  ``walks``, when given,
-    also gets the number of selections under ``(sizes, s, k)``: each fills k
-    buckets."""
+    k-selections through that element (``_tally``)."""
     buckets = _tally(EnumerationRequest(
         CircleSystem(tuple(sizes)), SeparationParams(s, k)))
-    if walks is not None:
-        walks[tuple(sizes), s, k] = sum(buckets.values()) // k
     for c, closed in closed_on.items():
         for a in range(1, sizes[c - 1] + 1):
             got = buckets[c, a]
@@ -258,13 +250,13 @@ def _eval_circle_fixed(n, s, k) -> IdentityReport:
                           {1: count_circle_fixed(n, s, k)})
 
 
-def _eval_system(walks=None, *, sizes, s, k) -> IdentityReport:
+def _eval_system(sizes, s, k) -> IdentityReport:
     return _report("system", {"sizes": sizes, "s": s, "k": k},
                    count_system(CircleSystem(tuple(sizes)), s, k),
-                   _oracle_count(sizes, s, k, walks))
+                   _oracle_count(sizes, s, k))
 
 
-def _eval_system_fixed(walks=None, *, sizes, s, k) -> IdentityReport:
+def _eval_system_fixed(sizes, s, k) -> IdentityReport:
     params = {"sizes": sizes, "s": s, "k": k}
     system = CircleSystem(tuple(sizes))
     lo = _least_size(s, k)
@@ -273,7 +265,7 @@ def _eval_system_fixed(walks=None, *, sizes, s, k) -> IdentityReport:
                  for c, n in enumerate(sizes, 1) if n >= lo}
     if not closed_on:
         return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
-    return _bucket_report("system-fixed", params, sizes, s, k, closed_on, walks)
+    return _bucket_report("system-fixed", params, sizes, s, k, closed_on)
 
 
 def _eval_recursion(sizes, s, k) -> IdentityReport:
@@ -371,31 +363,24 @@ class SweepGrid:
 
 
 def evaluate_point(point: tuple) -> IdentityReport:
-    """Evaluate one point of ``grid_points``, passing its parameters as
-    keywords.  ``verify_all`` appends its walk counts as a fourth item, which
-    only ``system`` and ``system-fixed`` receive, so that per-point wrappers
-    (perfbench's per-check timing) still see one argument."""
-    check, params, skip_reason, *walks = point
+    """Evaluate one point of ``grid_points``; its report depends on it alone."""
+    check, params, skip_reason = point
     if skip_reason is not None:
         return _skipped(check, params, skip_reason)
-    evaluator = _CHECKS[check][2]
-    if check in ("system", "system-fixed"):
-        return evaluator(*walks, **params)
-    return evaluator(**params)
+    return _CHECKS[check][2](**params)
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:
     """Evaluate every selected check over the grid; canonical report order.
-    The job count is capped at the CPUs this process may run on, since a
-    process pool starts all its workers at once; one job runs in this
-    process, more in a pool of that many workers."""
+    The job count, capped at the CPUs this process may run on since a pool
+    starts all its workers at once, changes only where the points run: one
+    job runs them in this process, more in a pool of that many workers."""
     points = grid_points(grid)
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if jobs == 1:
-        walks: dict = {}  # dropped on return: nothing outlives this call
         # popped: each report builds its own params, so the grid's go as they are done
-        reports = [evaluate_point((*points.pop(), walks)) for _ in range(len(points))]
+        reports = [evaluate_point(points.pop()) for _ in range(len(points))]
         return reports[::-1]
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(points) // (jobs * 8))

@@ -250,6 +250,9 @@ def test_gap_search_properties(req):
 # up to nine later circles per prefix, free and through the last position
 @example(request([2, 2, 2, 2, 3, 3, 3, 3, 3, 5], 1, 5))
 @example(request([2, 2, 2, 2, 3, 3, 3, 3, 3, 5], 1, 5, Element(5, 10)))
+# a circle of one position between larger ones, at s = 0 and fixed on it
+@example(request([4, 1, 3], 0, 3))
+@example(request([4, 1, 3], 1, 2, Element(1, 2)))
 def test_runs_expand_to_the_selections(req):
     items = list(selection_runs(req))
     assert all(lo <= hi for _, runs in items for _, lo, hi in runs)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -150,8 +151,8 @@ SYSTEM_CHECKS = SweepGrid(max_size=7, max_k=2, max_s=2,
 
 
 def _wrap_walks(monkeypatch, drop_first_of=None):
-    """Record the (sizes, s, k) of every search verify starts, as a bucket
-    walk or as a count; the walk of ``drop_first_of`` loses its first
+    """Record the (sizes, s, k) of every search verify starts, for a bucket
+    tally or for a count; the search of ``drop_first_of`` loses its first
     selection."""
     selection_runs = verify.selection_runs
     count_by_enumeration = verify.count_by_enumeration
@@ -178,20 +179,25 @@ def _wrap_walks(monkeypatch, drop_first_of=None):
     return walks
 
 
-def test_system_checks_share_one_walk_per_size_tuple_within_a_call(monkeypatch):
+def test_every_system_point_runs_its_own_search(monkeypatch):
     walks = _wrap_walks(monkeypatch)
     first = verify_all(SYSTEM_CHECKS)
-    tuples = {(r.params["sizes"], r.params["s"], r.params["k"])
-              for r in first if not r.skipped}
-    assert len(walks) == len(set(walks)) == len(tuples)
     assert overall_pass(first)
-    # nothing carries over into the next call
+    # one search per evaluated point of either check, for its own parameters
+    evaluated = [r for r in first if not r.skipped]
+    assert {r.check for r in evaluated} == {"system", "system-fixed"}
+    assert sorted(walks) == sorted((r.params["sizes"], r.params["s"], r.params["k"])
+                                   for r in evaluated)
+    # a second call starts the same searches
+    searches = list(walks)
+    walks.clear()
     assert verify_all(SYSTEM_CHECKS) == first
-    assert len(walks) == 2 * len(tuples)
-    # nor into a bare evaluation of a point the sweep has seen
+    assert walks == searches
+    # and a bare evaluation starts one
+    walks.clear()
     params = {"sizes": (5, 5), "s": 1, "k": 2}
     assert evaluate_point(("system", params, None)).passed
-    assert walks[-1] == ((5, 5), 1, 2) and len(walks) == 2 * len(tuples) + 1
+    assert walks == [((5, 5), 1, 2)]
 
 
 def test_shared_walk_is_still_the_oracle_for_both_system_checks(monkeypatch):
@@ -297,6 +303,19 @@ def test_job_count_does_not_change_reports():
     grid1 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=1)
     grid3 = SweepGrid(max_size=6, max_k=2, max_s=1, jobs=3)
     assert to_json_lines(verify_all(grid1)) == to_json_lines(verify_all(grid3))
+
+
+def test_points_evaluate_alike_in_any_order():
+    # what lets a pool, or any split of the grid into chunks, run them
+    grid = SweepGrid(max_size=7, max_k=2, max_s=2,
+                     checks=("circle-fixed", "system", "system-fixed"))
+    points = grid_points(grid)
+    order = list(range(len(points)))
+    random.Random(0).shuffle(order)
+    reports = [None] * len(points)
+    for i in order:
+        reports[i] = evaluate_point(points[i])
+    assert reports == verify_all(grid)
 
 
 def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
