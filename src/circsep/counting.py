@@ -8,22 +8,21 @@ Let ``N`` be the total number of objects in a system with circle sizes
 * p circles, element fixed:    ``C(N - s*k - 1, k - 1)``
 * p circles, free:             ``N / k * C(N - s*k - 1, k - 1)``
 
-Each closed form holds on one domain, written once in ``core._check_bounds``:
-``s >= 0``, ``k >= 0`` (``k >= 1`` with a fixed element), size ``>= s*k + 1``
-on the fixed element's circle or, with nothing fixed, on every circle, and
-size ``>= s*k`` on the circles beside a fixed element.  Every count here calls
-it first, so out-of-domain parameters raise :class:`DomainError` naming the
-first violated bound - use ``count_by_enumeration`` there instead, which is
-exact everywhere.  The two rational-looking forms are evaluated numerator
-first and divided last; the division is asserted exact, so a failed
-divisibility can never round silently.
+Each public closed form holds on one domain, written once in
+``core._check_bounds``: ``s >= 0``, ``k >= 0`` (``k >= 1`` with a fixed
+element), size ``>= s*k + 1`` on the fixed element's circle or, with nothing
+fixed, on every circle, and size ``>= s*k`` on the circles beside a fixed
+element.  Each calls it first, so out-of-domain parameters raise
+:class:`DomainError` naming the first violated bound - use
+``count_by_enumeration`` there instead.  The single-circle counts beneath,
+``_count``, are exact everywhere.  The rational-looking forms divide last, and
+the division is asserted exact, so a failed divisibility never rounds.
 
 ``count_system_convolution`` and ``count_system_fixed_recursive`` recompute
-the free and the fixed count from single-circle counts alone, to be checked
-against the direct forms: coefficient j of a circle's polynomial counts the
-ways to put j elements on it, the free count is the coefficient of x^k in the
-product of those polynomials, and the fixed count peels the fixed circle off
-the product of the others.  Both cost O(p*min(k, N)^2) for p circles.
+the free and the fixed count from single-circle counts alone, as one product:
+coefficient j of a circle's polynomial counts the ways to put j elements on
+it (through the fixed element on its circle), and either count is coefficient
+k of the product, O(p*min(k, N)^2) for p circles.
 """
 
 from __future__ import annotations
@@ -55,14 +54,17 @@ def _exact_div(numerator: int, denominator: int, context: str) -> int:
 _HINT = "; use count_by_enumeration instead"
 
 
-def _circle(n: int, s: int, k: int) -> int:
-    """``count_circle``'s arithmetic, for callers whose bound check covers it."""
-    return _exact_div(n * binomial(n - s * k, k), n - s * k, "count_circle")
-
-
-def _circle_fixed(n: int, s: int, k: int) -> int:
-    """``count_circle_fixed``'s arithmetic, likewise."""
-    return binomial(n - k * s - 1, k - 1)
+def _count(n: int, s: int, j: int, through: bool = False) -> int:
+    """s-separated j-subsets of one circle of size n (through one given element
+    when ``through``), exact for every n >= 1, s >= 0 and j >= 0: one binomial
+    at most, and 0 past the densest packing, n < (s+1)*j for j >= 2."""
+    if j < 2:
+        return j if through else (n if j else 1)
+    if through:
+        return binomial(n - s * j - 1, j - 1)
+    if n < (s + 1) * j:
+        return 0
+    return _exact_div(n * binomial(n - s * j, j), n - s * j, "count_circle")
 
 
 def count_circle(n: int, s: int, k: int) -> int:
@@ -71,7 +73,7 @@ def count_circle(n: int, s: int, k: int) -> int:
     Exact for n >= s*k + 1 (so for k = 0, one empty set, on any circle).
     """
     _check_bounds("count_circle", s, k, (n,), names=("n",), hint=_HINT)
-    return _circle(n, s, k)
+    return _count(n, s, k)
 
 
 def count_circle_fixed(n: int, s: int, k: int) -> int:
@@ -82,7 +84,7 @@ def count_circle_fixed(n: int, s: int, k: int) -> int:
     """
     _check_bounds("count_circle_fixed", s, k, (n,), fixed=1, names=("n",),
                   hint=_HINT)
-    return _circle_fixed(n, s, k)
+    return _count(n, s, k, True)
 
 
 def count_system_fixed(system: CircleSystem, s: int, k: int, fixed: Element) -> int:
@@ -111,42 +113,34 @@ def count_system(system: CircleSystem, s: int, k: int) -> int:
     return _exact_div(total * binomial(total - s * k - 1, k - 1), k, "count_system")
 
 
-def _spread(factors, k: int) -> list[int]:
-    """The product of the per-circle polynomials ``factors``, where
-    coefficient j counts the ways to put j elements on the circles, truncated
-    at degree k: O(p*k^2) for p circles, however many ways there are to spread k."""
-    product = [1] + [0] * k
+def _product(sizes, s: int, k: int, fixed: int | None = None) -> int:
+    """Coefficient k of the product of the circles' polynomials, coefficient j
+    of circle c's counting the ways to put j elements on it (through one given
+    element when c is ``fixed``): O(p*k^2), 0 past N, and no bound check."""
+    if k > sum(sizes):
+        return 0
+    product, *factors = [[_count(n, s, j, c == fixed) for j in range(k + 1)]
+                         for c, n in enumerate(sizes, 1)]
     for factor in factors:
         product = [sum(product[i] * factor[j - i] for i in range(j + 1))
                    for j in range(k + 1)]
-    return product
+    return product[k]
 
 
 def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:
-    """Fixed-element count through (1,1), with the first circle peeled off:
-    the sum over j of ``count_circle_fixed`` for j elements on the first circle
-    times the coefficient of x^(k-j) in the ``count_circle`` product of the
-    others, O(p*min(k, N)^2).  Preconditions match ``count_system_fixed`` with
-    ``fixed = 1@1``.
+    """Fixed-element count through (1,1), as coefficient k of the circles'
+    product with the first circle's counted through 1@1, O(p*min(k, N)^2).
+    Preconditions match ``count_system_fixed`` with ``fixed = 1@1``.
     """
     _check_bounds("count_system_fixed_recursive", s, k, system.sizes, fixed=1,
                   hint=_HINT)
-    if k > system.total:
-        return 0
-    first, *rest = system.sizes
-    # the system's bounds cover every factor: j <= k - 1 beside 1@1, j <= k on it
-    others = _spread([[_circle(n, s, j) for j in range(k)] for n in rest], k - 1)
-    return sum(_circle_fixed(first, s, j) * others[k - j] for j in range(1, k + 1))
+    return _product(system.sizes, s, k, fixed=1)
 
 
 def count_system_convolution(system: CircleSystem, s: int, k: int) -> int:
     """Free count as the polynomial product of single-circle counts, one
-    factor per circle.  Requires every circle size >= s*k + 1 (so that each
-    single-circle factor is in its exact range); k = 0 gives 1.
+    factor per circle.  Requires every circle size >= s*k + 1, the direct
+    form's contract and not a condition for the factors; k = 0 gives 1.
     """
     _check_bounds("count_system_convolution", s, k, system.sizes, hint=_HINT)
-    if k > system.total:
-        return 0
-    # every size >= s*k + 1 covers each factor's j <= k
-    return _spread([[_circle(n, s, j) for j in range(k + 1)]
-                    for n in system.sizes], k)[k]
+    return _product(system.sizes, s, k)

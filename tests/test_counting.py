@@ -2,12 +2,15 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circsep.core import (CircleSystem, DomainError, Element, InvariantViolation,
                           SeparationParams)
-from circsep.counting import (_exact_div, binomial, count_circle, count_circle_fixed,
-                              count_system, count_system_convolution,
-                              count_system_fixed, count_system_fixed_recursive)
+from circsep.counting import (_count, _exact_div, _product, binomial, count_circle,
+                              count_circle_fixed, count_system,
+                              count_system_convolution, count_system_fixed,
+                              count_system_fixed_recursive)
 from circsep.enumeration import EnumerationRequest, count_by_enumeration
 
 
@@ -277,3 +280,91 @@ def test_an_inexact_division_is_an_internal_error():
     assert _exact_div(8, 2, "x") == 4
     with pytest.raises(InvariantViolation, match="x: 7 is not divisible by 2"):
         _exact_div(7, 2, "x")
+
+
+# ---------------------------------------------------------------------------
+# per-circle counts and their product, exact for any parameters
+
+
+def cyclic_words(s, max_n, max_j):
+    """Count 0/1 words on a cycle of n positions (1 <= n <= max_n) with j ones
+    (j <= max_j), any two ones at least s zeros apart around the cycle; one
+    lone one is never constrained.  Returns ``(free, through)``, dicts on
+    ``(n, j)``; ``through`` counts the words with a one at position 1.
+
+    A word with ones has a least one, at position a + 1.  From there on it is a
+    linear word of length n - a that starts with a one and keeps s zeros
+    between its ones, and closing the cycle adds the a zeros before the least
+    one to its trailing zeros.  ``words[L]`` counts those linear words by
+    (ones, trailing zeros capped at s).
+    """
+    words = {1: {(1, 0): 1}}
+    for length in range(2, max_n + 1):
+        row = {}
+        for (ones, zeros), ways in words[length - 1].items():
+            key = (ones, min(zeros + 1, s))
+            row[key] = row.get(key, 0) + ways
+            if zeros >= s and ones < max_j:
+                row[ones + 1, 0] = row.get((ones + 1, 0), 0) + ways
+        words[length] = row
+
+    def closing(n, a):
+        counts = [0] * (max_j + 1)
+        for (ones, zeros), ways in words[n - a].items():
+            if ones < 2 or zeros + a >= s:
+                counts[ones] += ways
+        return counts
+
+    free, through = {}, {}
+    for n in range(1, max_n + 1):
+        rows = [closing(n, a) for a in range(n)]
+        for j in range(max_j + 1):
+            through[n, j] = rows[0][j]
+            free[n, j] = (j == 0) + sum(row[j] for row in rows)
+    return free, through
+
+
+def test_per_circle_counts_match_a_cyclic_word_count_everywhere():
+    # every n >= 1, in the closed forms' domain and out of it
+    for s in range(5):
+        free, through = cyclic_words(s, 30, 10)
+        for n in range(1, 31):
+            for j in range(11):
+                assert _count(n, s, j) == free[n, j], (n, s, j)
+                assert _count(n, s, j, True) == through[n, j], (n, s, j)
+
+
+@st.composite
+def spreads(draw):
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    return sizes, draw(st.integers(0, 3)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spreads())
+@example(([7, 6, 6], 2, 3))      # circles beside 1@1 of size exactly s*k
+@example(([3, 2, 2, 2], 2, 1))   # k = 1 beside circles of size s
+@example(([5, 4], 0, 9))         # s = 0, k = N
+@example(([5, 4], 0, 10))        # s = 0, k = N + 1
+def test_product_counts_every_spread(spread):
+    sizes, s, k = spread
+    assert _product(sizes, s, k) == oracle(sizes, s, k)
+    for circle in range(1, len(sizes) + 1):
+        assert (_product(sizes, s, k, fixed=circle)
+                == oracle(sizes, s, k, Element(1, circle))), circle
+
+
+def test_single_circle_forms_make_one_binomial_call(monkeypatch):
+    # O(1) in k: a k-long factor list here would make 10**5 calls
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        assert len(calls) == 1, calls
+        return binomial(n, k)
+
+    monkeypatch.setattr("circsep.counting.binomial", counted)
+    for count in (count_circle, count_circle_fixed):
+        calls.clear()
+        assert count(10**6, 1, 10**5) > 0
+        assert len(calls) == 1
