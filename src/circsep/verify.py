@@ -1,10 +1,10 @@
 """Sweep harness: grind every identity against the enumeration oracle.
 
 ``verify_all`` sweeps a parameter grid and evaluates a family of named checks,
-one report per parameter point.  Each report compares a left and a right value
-(exact decimal strings) and passes exactly when they are equal; points whose
-parameters fall outside a check's precondition become skipped entries with a
-reason, never silent gaps, so grid coverage stays auditable.
+one report per parameter point.  Evaluators return the two sides they compare
+(and a counterexample, if any); ``evaluate_point`` alone builds the reports,
+which pass exactly when the sides' exact decimal strings are equal.  Every skip
+comes from the grid, with a reason: no silent gaps, so coverage stays auditable.
 
 The ``fixed-sum-printed`` check is documentation: it evaluates a widely
 circulated but misprinted variant of the fixed-element sum (binomial exponent
@@ -12,7 +12,7 @@ circulated but misprinted variant of the fixed-element sum (binomial exponent
 Its failures are expected and do not count against the overall verdict.
 
 Every evaluator takes a point's parameters as keywords, and every point is
-evaluated by itself: its report is a pure function of its parameters, so
+evaluated by itself: its report is a pure function of the point, so
 points may run in any order and in any process.  Reports are assembled in
 canonical grid order; the job count changes only where the points run, and
 output for a fixed grid is byte-identical for any job count.  The pool's
@@ -65,32 +65,8 @@ class IdentityReport:
         }
 
 
-def _report(check: str, params: dict, left, right,
-            counterexample: str = "") -> IdentityReport:
-    left_s, right_s = str(left), str(right)
-    return IdentityReport(check=check, params=params, left=left_s, right=right_s,
-                          passed=left_s == right_s, counterexample=counterexample)
-
-
-def _skipped(check: str, params: dict, reason: str) -> IdentityReport:
-    return IdentityReport(check=check, params=params, skipped=True, reason=reason)
-
-
 # ---------------------------------------------------------------------------
 # the named identities
-
-
-def _fixed_sum(check: str, op: str, m: int, n: int, s: int, k: int,
-               factor) -> IdentityReport:
-    """``sum_{j=0}^{k-1} C(n - s*(k-j) - 1, k-j-1) * factor(j)`` against
-    ``C(m + n - s*k - 1, k - 1)``, naming the first non-integer term."""
-    _check_bounds(op, s, k, (n, m), fixed=1, names=("n", "m"))
-    terms = [binomial(n - s * (k - j) - 1, k - j - 1) * factor(j)
-             for j in range(k)]
-    bad_term = next((f"term j={j} is {term}, not an integer"
-                     for j, term in enumerate(terms) if term.denominator != 1), "")
-    return _report(check, {"m": m, "n": n, "s": s, "k": k}, sum(terms),
-                   binomial(m + n - s * k - 1, k - 1), counterexample=bad_term)
 
 
 def verify_fixed_sum_identity(m: int, n: int, s: int, k: int) -> IdentityReport:
@@ -103,8 +79,7 @@ def verify_fixed_sum_identity(m: int, n: int, s: int, k: int) -> IdentityReport:
     The fixed element lives on the circle of size n, so the preconditions are
     ``n >= s*k + 1`` and ``m >= s*k`` (with k >= 1).
     """
-    return _fixed_sum("fixed-sum", "fixed-sum identity", m, n, s, k,
-                      lambda j: count_circle(m, s, j))
+    return evaluate_point(("fixed-sum", {"m": m, "n": n, "s": s, "k": k}, None))
 
 
 def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
@@ -116,20 +91,13 @@ def verify_fixed_sum_printed(m: int, n: int, s: int, k: int) -> IdentityReport:
     Evaluated on the corrected identity's domain, in exact rational
     arithmetic, and reported as-is.
     """
-    from fractions import Fraction
-    return _fixed_sum(
-        "fixed-sum-printed", "printed fixed-sum variant", m, n, s, k,
-        lambda j: Fraction(m, m - s * j) * binomial(m - s * j, j - 1))
+    return evaluate_point(("fixed-sum-printed", {"m": m, "n": n, "s": s, "k": k}, None))
 
 
 def verify_convolution_identity(n1: int, n2: int, s: int, k: int) -> IdentityReport:
     """Free count of a two-circle system as a convolution of single-circle
     counts; requires both sizes >= s*k + 1."""
-    params = {"n1": n1, "n2": n2, "s": s, "k": k}
-    system = CircleSystem((n1, n2))
-    left = count_system(system, s, k)
-    right = count_system_convolution(system, s, k)
-    return _report("convolution", params, left, right)
+    return evaluate_point(("convolution", {"n1": n1, "n2": n2, "s": s, "k": k}, None))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +121,8 @@ def _gen_named(grid: SweepGrid, check: str, keys: tuple[str, ...],
             continue
         for sizes in itertools.product(
                 *(range(lo, grid.max_size + 1) for lo in los)):
-            yield check, dict(zip(keys, sizes), s=s, k=k), None
+            # each key set sorts into its report order: n; n1, n2; m, n
+            yield check, dict(sorted(zip(keys, sizes)), s=s, k=k), None
 
 
 def _gen_systems(grid: SweepGrid, check: str, first_beside: bool,
@@ -161,8 +130,10 @@ def _gen_systems(grid: SweepGrid, check: str, first_beside: bool,
     """Size tuples for p in {2, 3}: the first size runs up from the least one
     admitted free or (``first_beside``) beside a fixed element, the others
     from the least one for ``rest_beside``.  Equal bounds give multisets;
-    unequal ones give every ordered tail after each first size."""
+    unequal ones give every ordered tail after each first size.  Tuples with
+    no circle of size s*k+1 or more are skipped."""
     for s, k in _sk_grid(grid):
+        lo = _least_size(s, k)
         first_lo = _least_size(s, k, first_beside)
         rest = range(_least_size(s, k, rest_beside), grid.max_size + 1)
         for p in (2, 3):
@@ -176,7 +147,8 @@ def _gen_systems(grid: SweepGrid, check: str, first_beside: bool,
                 tuples = itertools.product(range(first_lo, grid.max_size + 1),
                                            *[rest] * (p - 1))
             for sizes in tuples:
-                yield check, {"sizes": sizes, "s": s, "k": k}, None
+                yield check, {"sizes": sizes, "s": s, "k": k}, (
+                    None if max(sizes) >= lo else f"no circle reaches s*k+1 = {lo}")
 
 
 def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
@@ -223,85 +195,98 @@ def _tally(request: EnumerationRequest) -> Counter:
     return buckets
 
 
-def _bucket_report(check: str, params: dict, sizes, s, k,
-                   closed_on: dict) -> IdentityReport:
+def _buckets(sizes, s, k, closed_on: dict):
     """Compare, for every element of each circle in ``closed_on`` (circle ->
-    its closed form), the closed form with the number of s-separated
-    k-selections through that element (``_tally``)."""
+    its closed form, at least one), the closed form with the number of
+    s-separated k-selections through that element (``_tally``)."""
     buckets = _tally(EnumerationRequest(
         CircleSystem(tuple(sizes)), SeparationParams(s, k)))
     for c, closed in closed_on.items():
         for a in range(1, sizes[c - 1] + 1):
             got = buckets[c, a]
             if got != closed:
-                return _report(check, params, closed, got,
-                               counterexample=f"fixed={a}@{c}: enumeration {got}, "
-                                              f"closed form {closed}")
-    return _report(check, params, closed, closed)
+                return closed, got, (f"fixed={a}@{c}: enumeration {got}, "
+                                     f"closed form {closed}")
+    return closed, closed
 
 
-def _eval_circle(n, s, k) -> IdentityReport:
-    return _report("circle", {"n": n, "s": s, "k": k}, count_circle(n, s, k),
-                   _oracle_count([n], s, k))
+def _fixed_sum(op: str, m: int, n: int, s: int, k: int, factor):
+    """``sum_{j=0}^{k-1} C(n - s*(k-j) - 1, k-j-1) * factor(j)`` against
+    ``C(m + n - s*k - 1, k - 1)``, naming the first non-integer term."""
+    _check_bounds(op, s, k, (n, m), fixed=1, names=("n", "m"))
+    terms = [binomial(n - s * (k - j) - 1, k - j - 1) * factor(j)
+             for j in range(k)]
+    bad_term = next((f"term j={j} is {term}, not an integer"
+                     for j, term in enumerate(terms) if term.denominator != 1), "")
+    return sum(terms), binomial(m + n - s * k - 1, k - 1), bad_term
 
 
-def _eval_circle_fixed(n, s, k) -> IdentityReport:
-    return _bucket_report("circle-fixed", {"n": n, "s": s, "k": k}, [n], s, k,
-                          {1: count_circle_fixed(n, s, k)})
+def _eval_circle(n, s, k):
+    return count_circle(n, s, k), _oracle_count([n], s, k)
 
 
-def _eval_system(sizes, s, k) -> IdentityReport:
-    return _report("system", {"sizes": sizes, "s": s, "k": k},
-                   count_system(CircleSystem(tuple(sizes)), s, k),
-                   _oracle_count(sizes, s, k))
+def _eval_circle_fixed(n, s, k):
+    return _buckets([n], s, k, {1: count_circle_fixed(n, s, k)})
 
 
-def _eval_system_fixed(sizes, s, k) -> IdentityReport:
-    params = {"sizes": sizes, "s": s, "k": k}
+def _eval_system(sizes, s, k):
+    return count_system(CircleSystem(tuple(sizes)), s, k), _oracle_count(sizes, s, k)
+
+
+def _eval_system_fixed(sizes, s, k):
     system = CircleSystem(tuple(sizes))
-    lo = _least_size(s, k)
-    # the closed form is the same for every element of circle c
-    closed_on = {c: count_system_fixed(system, s, k, Element(1, c))
-                 for c, n in enumerate(sizes, 1) if n >= lo}
-    if not closed_on:
-        return _skipped("system-fixed", params, f"no circle reaches s*k+1 = {lo}")
-    return _bucket_report("system-fixed", params, sizes, s, k, closed_on)
+    # the closed form is the same for every element of circle c; where no circle
+    # admits it (a point the grid skips), the largest circle's raises DomainError
+    lo = min(_least_size(s, k), max(sizes))
+    return _buckets(sizes, s, k, {c: count_system_fixed(system, s, k, Element(1, c))
+                                  for c, n in enumerate(sizes, 1) if n >= lo})
 
 
-def _eval_recursion(sizes, s, k) -> IdentityReport:
+def _eval_recursion(sizes, s, k):
     system = CircleSystem(tuple(sizes))
-    return _report("recursion", {"sizes": sizes, "s": s, "k": k},
-                   count_system_fixed_recursive(system, s, k),
-                   count_system_fixed(system, s, k, Element(1, 1)))
+    return (count_system_fixed_recursive(system, s, k),
+            count_system_fixed(system, s, k, Element(1, 1)))
 
 
-def _eval_bijection(n1, n2, s, k) -> IdentityReport:
-    rep = check_bijectivity(CircleSystem((n1, n2)), s, k)
-    return _report("bijection", {"n1": n1, "n2": n2, "s": s, "k": k},
-                   len(rep.failures), 0,
-                   counterexample=rep.failures[0] if rep.failures else "")
+def _eval_convolution(n1, n2, s, k):
+    system = CircleSystem((n1, n2))
+    return count_system(system, s, k), count_system_convolution(system, s, k)
 
 
-def _eval_double_count(sizes, s, k) -> IdentityReport:
+def _eval_fixed_sum(m, n, s, k):
+    return _fixed_sum("fixed-sum identity", m, n, s, k,
+                      lambda j: count_circle(m, s, j))
+
+
+def _eval_fixed_sum_printed(m, n, s, k):
+    from fractions import Fraction
+    return _fixed_sum("printed fixed-sum variant", m, n, s, k,
+                      lambda j: Fraction(m, m - s * j) * binomial(m - s * j, j - 1))
+
+
+def _eval_bijection(n1, n2, s, k):
+    failures = check_bijectivity(CircleSystem((n1, n2)), s, k).failures
+    return len(failures), 0, failures[0] if failures else ""
+
+
+def _eval_double_count(sizes, s, k):
     system = CircleSystem(tuple(sizes))
-    left = k * count_system(system, s, k)
-    right = system.total * count_system_fixed(system, s, k, Element(1, 1))
-    return _report("double-count", {"sizes": sizes, "s": s, "k": k}, left, right)
+    return (k * count_system(system, s, k),
+            system.total * count_system_fixed(system, s, k, Element(1, 1)))
 
 
-def _eval_divisibility(n, s, k) -> IdentityReport:
+def _eval_divisibility(n, s, k):
     # (n - s*k) divides n * C(n - s*k, k), and k divides n * C(n - s*k - 1, k - 1):
     # the two exact divisions performed by the closed forms
     rem_free = (n * binomial(n - s * k, k)) % (n - s * k)
     rem_fixed = (n * binomial(n - s * k - 1, k - 1)) % k
-    return _report("divisibility", {"n": n, "s": s, "k": k}, rem_free + rem_fixed, 0,
-                   counterexample="" if rem_free + rem_fixed == 0 else
-                   f"remainders: free form {rem_free}, fixed form {rem_fixed}")
+    return rem_free + rem_fixed, 0, "" if rem_free + rem_fixed == 0 else (
+        f"remainders: free form {rem_free}, fixed form {rem_fixed}")
 
 
 # ---------------------------------------------------------------------------
-# the check registry: name -> (grid generator, its extra arguments, evaluator),
-# in canonical report order
+# the check registry: name -> (grid generator, its extra arguments, evaluator
+# returning (left, right) or (left, right, counterexample)), in canonical order
 
 _N_M = (("n", "m"), (False, True))  # the fixed element's circle, then the other
 
@@ -317,11 +302,11 @@ _CHECKS = {
     # one-circle-at-a-time recomputation vs direct fixed count
     "recursion": (_gen_systems, (False, True), _eval_recursion),
     # polynomial product of single-circle counts vs direct free count
-    "convolution": (_gen_named, (("n1", "n2"), (False, False)), verify_convolution_identity),
+    "convolution": (_gen_named, (("n1", "n2"), (False, False)), _eval_convolution),
     # two-circle fixed-element sum identity (corrected)
-    "fixed-sum": (_gen_named, _N_M, verify_fixed_sum_identity),
+    "fixed-sum": (_gen_named, _N_M, _eval_fixed_sum),
     # the misprinted variant, reported for documentation
-    "fixed-sum-printed": (_gen_named, _N_M, verify_fixed_sum_printed),
+    "fixed-sum-printed": (_gen_named, _N_M, _eval_fixed_sum_printed),
     # exhaustive forward/backward round trip per point
     "bijection": (_gen_named, (("n1", "n2"), (False, True)), _eval_bijection),
     # k * free count == N * fixed count
@@ -363,11 +348,13 @@ class SweepGrid:
 
 
 def evaluate_point(point: tuple) -> IdentityReport:
-    """Evaluate one point of ``grid_points``; its report depends on it alone."""
+    """Evaluate one point of ``grid_points``; the one place reports are built."""
     check, params, skip_reason = point
     if skip_reason is not None:
-        return _skipped(check, params, skip_reason)
-    return _CHECKS[check][2](**params)
+        return IdentityReport(check, params, skipped=True, reason=skip_reason)
+    left, right, *counterexample = map(str, _CHECKS[check][2](**params))
+    return IdentityReport(check, params, left, right, passed=left == right,
+                          counterexample="".join(counterexample))
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:
@@ -379,7 +366,7 @@ def verify_all(grid: SweepGrid) -> list[IdentityReport]:
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if jobs == 1:
-        # popped: each report builds its own params, so the grid's go as they are done
+        # popped: each point's tuple goes once its report, holding its params, is built
         reports = [evaluate_point(points.pop()) for _ in range(len(points))]
         return reports[::-1]
     from concurrent.futures import ProcessPoolExecutor

@@ -109,6 +109,41 @@ def test_evaluate_point_passes_skip_reason_through():
     assert not report.passed
 
 
+def test_a_system_fixed_point_with_no_circle_at_s_k_plus_1_raises():
+    # the grid skips these sizes; evaluated without its reason, the largest
+    # circle's closed form refuses them
+    with pytest.raises(DomainError, match="n_1 >= s\\*k\\+1 on the fixed element"):
+        evaluate_point(("system-fixed", {"sizes": (2, 2, 1), "s": 1, "k": 2}, None))
+
+
+@pytest.mark.parametrize("grid", [SweepGrid(), SweepGrid(max_size=4, max_k=3, max_s=2)],
+                         ids=["default", "skips"])
+def test_skips_and_params_come_from_the_grid(grid):
+    points = grid_points(grid)
+    reports = verify_all(grid)
+    assert len(reports) == len(points)
+    for (check, params, reason), report in zip(points, reports):
+        assert report.check == check
+        # a report is skipped exactly when its point carries a reason
+        assert report.skipped == (reason is not None), (check, params)
+        # and keeps its point's params, in the grid's key order
+        assert list(report.params) == list(params), (check, params)
+        assert report.params == params
+
+
+def test_each_public_identity_is_its_grid_check():
+    identities = {"convolution": verify_convolution_identity,
+                  "fixed-sum": verify_fixed_sum_identity,
+                  "fixed-sum-printed": verify_fixed_sum_printed}
+    points = grid_points(SweepGrid(max_size=8, max_k=3, max_s=2,
+                                   checks=tuple(identities)))
+    assert {check for check, _, _ in points} == set(identities)
+    assert all(reason is None for _, _, reason in points)
+    for point in points:
+        check, params, _ = point
+        assert identities[check](**params) == evaluate_point(point), point
+
+
 def test_system_fixed_names_the_circle_whose_closed_form_is_wrong(monkeypatch):
     count_system_fixed = verify.count_system_fixed
 
@@ -200,7 +235,7 @@ def test_every_system_point_runs_its_own_search(monkeypatch):
     assert walks == [((5, 5), 1, 2)]
 
 
-def test_shared_walk_is_still_the_oracle_for_both_system_checks(monkeypatch):
+def test_a_search_one_short_fails_both_system_checks_at_its_point(monkeypatch):
     _wrap_walks(monkeypatch, drop_first_of=((5, 5), 1, 2))
     failing = [r for r in verify_all(SYSTEM_CHECKS)
                if not r.skipped and not r.passed]
