@@ -275,7 +275,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
         EnumerationRequest(combined, params, Element(1, 1)))}
     expected = count_system_fixed(system, s, k, Element(1, 1))
 
-    images = set()
+    images = []  # one per input whose chain ends in the codomain
     for pairs in domain:
         selected = set(pairs)
         try:
@@ -288,7 +288,7 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
             failures.append(
                 f"forward({_selection(pairs)}) = {image} is not in the codomain")
             continue
-        images.add(image)
+        images.append(image)
         # ``selected`` now holds unflatten(image), zag's input
         try:
             gsteps = _switch_chain(selected, system.sizes, s, "zag")
@@ -310,11 +310,11 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
                     failures.append(f"steps not mirrored on {_selection(pairs)} "
                                     f"at switch {zstep.index}")
                     break
-    if len(images) != len(domain):
+    if len(set(images)) != len(images):
         failures.append(
-            f"forward is not injective: {len(domain)} inputs, "
-            f"{len(images)} distinct images")
-    missing = codomain - images
+            f"forward is not injective: {len(images)} inputs, "
+            f"{len(set(images))} distinct images")
+    missing = codomain.difference(images)
     if missing:
         failures.append(
             f"forward is not surjective: {len(missing)} codomain sets missed, "

@@ -4,8 +4,8 @@ Four subcommands cover the library surface:
 
 * ``count``      exact counts via closed forms, recursion, convolution, or
                  streaming enumeration
-* ``enumerate``  list the selections themselves, streamed from the search
-                 with no selection objects built
+* ``enumerate``  list the selections themselves as text, CSV or JSON, each
+                 streamed from the search with no selection objects built
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
 * ``verify``     sweep the identity checks over a parameter grid
@@ -170,23 +170,27 @@ def _cmd_count(args) -> int:
 
 _BLOCK = 2048  # lines per write after the first
 _TEXTS = tuple(map(str, range(_BLOCK)))  # str(q) at index q, built at import
+# by format: a line's start, label separator and close, and the empty line
+_LINES = {"text": ("", ",", "\n", "\n"), "csv": ("", ",", "\n", "\n"),
+          "json": (',["', '","', '"]', ",[]")}
 
 
-def _blocks(request, limit):
-    """The lines of ``request``'s selections, at most ``limit``: the first
-    alone, then blocks of ``_BLOCK``.  Each item of ``selection_runs`` builds
-    its prefix's text once; a run, cut at block ends and ``limit``, is one
-    join of its last labels with that text between them.  A piece ending
-    below ``_BLOCK`` and a pick below it read ``_TEXTS``, the rest ``str``."""
+def _blocks(request, limit, fmt):
+    """The lines of ``request``'s selections in ``fmt``, at most ``limit``:
+    the first alone, then blocks of ``_BLOCK``.  Each prefix's text is built
+    once; a run, cut at block ends and ``limit``, is one join of its last
+    labels with that text between them.  A piece ending below ``_BLOCK`` and
+    a pick below it read ``_TEXTS``, the rest ``str``."""
     if limit == 0:
         return
+    start, sep, close, empty = _LINES[fmt]
     if request.params.k == 0 and request.fixed is None:
-        yield "\n"  # the empty selection, in no item
-    mid = [f"@{c}," for c in range(request.system.num_circles + 1)]
-    tails = [label[:-1] + "\n" for label in mid]
+        yield empty  # the empty selection, in no item
+    mid = [f"@{c}{sep}" for c in range(request.system.num_circles + 1)]
+    tails = [f"@{c}{close}" for c in range(request.system.num_circles + 1)]
     parts, count, cut = [], 0, 1  # this block ends after line cut
     for prefix, runs in selection_runs(request):
-        head = ""
+        head = start
         for d, p in prefix:
             head += (_TEXTS[p] if p < _BLOCK else str(p)) + mid[d]
         for c, lo, hi in runs:
@@ -211,17 +215,13 @@ def _blocks(request, limit):
 def _cmd_enumerate(args) -> int:
     blocks = _blocks(EnumerationRequest(
         CircleSystem(args.sizes), SeparationParams(args.s, args.k), args.fixed),
-        args.limit)
-    if args.format == "json":  # what json.dumps writes: labels need no escapes
-        text = "".join(blocks)
-        if text:  # at k = 0, the one line is the empty selection
-            text = ('["' + text[:-1].replace(",", '","').replace("\n", '"],["')
-                    + '"]' if args.k else "[]")
-        sys.stdout.write("[" + text + "]\n")
-        return 0
-    # text; also CSV, whose writer would not quote these fields
-    for block in blocks:
+        args.limit, args.format)
+    if args.format == "json":  # each line opens with the comma before it
+        sys.stdout.write("[" + next(blocks, ",")[1:])
+    for block in blocks:  # CSV's writer would not quote these fields either
         sys.stdout.write(block)
+    if args.format == "json":  # what json.dumps writes: labels need no escapes
+        sys.stdout.write("]\n")
     return 0
 
 

@@ -278,6 +278,7 @@ def _eval_double_count(sizes, s, k):
 def _eval_divisibility(n, s, k):
     # (n - s*k) divides n * C(n - s*k, k), and k divides n * C(n - s*k - 1, k - 1):
     # the two exact divisions performed by the closed forms
+    _check_bounds("divisibility check", s, k, (n,), fixed=1, names=("n",))
     rem_free = (n * binomial(n - s * k, k)) % (n - s * k)
     rem_fixed = (n * binomial(n - s * k - 1, k - 1)) % k
     return rem_free + rem_fixed, 0, "" if rem_free + rem_fixed == 0 else (

@@ -297,7 +297,10 @@ def test_check_bijectivity_reports_a_broken_chain(monkeypatch, direction, chosen
         return change(selected, steps) if hit else steps
 
     monkeypatch.setattr(bijection, "_switch_chain", broken)
-    assert message in check_bijectivity(CircleSystem((7, 6)), 2, 2).failures
+    failures = check_bijectivity(CircleSystem((7, 6)), 2, 2).failures
+    assert message in failures
+    if "not injective" not in message:  # an image formed once, or none
+        assert not any("not injective" in failure for failure in failures)
 
 
 def _drop_last(circles):

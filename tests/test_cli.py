@@ -272,12 +272,22 @@ def test_enumerate_writes_the_first_line_alone_then_whole_blocks(fmt, limit):
         assert cli.main(argv) == 0
     expected = library_output(sizes, s, k, None, limit, fmt)
     assert "".join(out.writes) == expected
-    # the first line alone (JSON is one line, in one write)
-    assert out.writes[:1] == expected.splitlines(keepends=True)[:1]
-    # every later write is whole lines: full blocks, the last possibly short
-    blocks = out.writes[1:]
-    assert all(block.endswith("\n") for block in blocks)
-    lines = [block.count("\n") for block in blocks]
+    if fmt == "json":
+        # "[" and the first selection alone, "]\n" last, and between them
+        # whole selections, each opening with the comma before it
+        first = json.dumps(json.loads(expected)[:1], separators=(",", ":"))
+        assert (out.writes[0], out.writes[-1]) == (first[:-1], "]\n")
+        blocks = out.writes[1:-1]
+        assert all(block.startswith(',["') and block.endswith('"]')
+                   for block in blocks)
+        lines = [block.count("[") for block in blocks]
+    else:
+        # the first line alone, then whole lines
+        assert out.writes[:1] == expected.splitlines(keepends=True)[:1]
+        blocks = out.writes[1:]
+        assert all(block.endswith("\n") for block in blocks)
+        lines = [block.count("\n") for block in blocks]
+    # full blocks, the last possibly short
     assert lines[:-1] == [cli._BLOCK] * (len(lines) - 1)
     assert all(0 < n <= cli._BLOCK for n in lines)
 
@@ -424,15 +434,17 @@ def test_enumerate_memory_does_not_grow_with_a_label_cache():
     assert mib < 128
 
 
-def test_enumerate_memory_stays_flat_over_a_huge_circle():
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_memory_stays_flat_over_a_huge_circle(fmt):
     # the same million lines from the command itself, its stdout at
     # os.devnull; the peak RSS of the one child of a second interpreter, which
-    # a table of every position's text pushed to 88 MiB
+    # a table of every position's text pushed to 88 MiB, and JSON joined from
+    # the whole stream to 52 MiB
     code = (
         "import resource, subprocess, sys\n"
         "subprocess.run([sys.executable, '-m', 'circsep', 'enumerate', '--sizes',"
-        " '1000000', '--s', '1', '--k', '1'], stdout=subprocess.DEVNULL,"
-        " check=True)\n"
+        f" '1000000', '--s', '1', '--k', '1', '--format', '{fmt}'],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
@@ -442,35 +454,47 @@ def test_enumerate_memory_stays_flat_over_a_huge_circle():
     assert mib < 40
 
 
-def test_enumerate_streams():
+ENUMERATE_200 = ["enumerate", "--sizes", "200,200,200", "--s", "1", "--k", "10"]
+FIRST_OF_200 = [f"{p}@1" for p in range(1, 20, 2)]
+# the first write of ENUMERATE_200: its first line, or, since JSON has no
+# newline, "[" and the first selection
+FIRST_WRITE = {"text": ",".join(FIRST_OF_200) + "\n",
+               "json": "[" + json.dumps(FIRST_OF_200, separators=(",", ":"))}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_streams(fmt):
     # a family far too large to list: its first line must come out at once
-    argv = [sys.executable, "-m", "circsep", "enumerate",
-            "--sizes", "200,200,200", "--s", "1", "--k", "10"]
-    first = ",".join(f"{p}@1" for p in range(1, 20, 2)) + "\n"
+    argv = [sys.executable, "-m", "circsep", *ENUMERATE_200, "--format", fmt]
+    first = FIRST_WRITE[fmt]
     proc = subprocess.run(argv + ["--limit", "1"], capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, first, "")
+    whole = first + ("]\n" if fmt == "json" else "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, whole, "")
     # without a limit, output starts long before the stream ends
     with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
         timer = threading.Timer(60, proc.kill)
         timer.start()
         try:
-            line = proc.stdout.readline()
+            head = proc.stdout.read(len(first))
         finally:
             timer.cancel()
             proc.kill()
-    assert line == first
+    assert head == first
 
 
 @pytest.mark.parametrize("argv, lines", [
     # a reader that stops after one line, like ``| head -1``
-    (["enumerate", "--sizes", "200,200,200", "--s", "1", "--k", "10"], 1),
+    (ENUMERATE_200, 1),
     # a reader gone before the first write: the output waits in stdout's
     # buffer until the end of main flushes it
     (["count", "--sizes", "10", "--s", "1", "--k", "3"], 0),
+    # JSON's one line does not end: the reader stops after the first write
+    ([*ENUMERATE_200, "--format", "json"], 1),
 ])
 def test_closed_stdout_exits_141_quietly(argv, lines):
     # no traceback, and not exit 1, which means a failed verification
+    first = FIRST_WRITE["json" if "json" in argv else "text"]
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONUNBUFFERED"}
     with subprocess.Popen([sys.executable, "-m", "circsep", *argv], env=env,
@@ -479,8 +503,8 @@ def test_closed_stdout_exits_141_quietly(argv, lines):
         timer = threading.Timer(60, proc.kill)
         timer.start()
         try:
-            for _ in range(lines):
-                assert proc.stdout.readline()
+            if lines:
+                assert proc.stdout.read(len(first)) == first
             proc.stdout.close()
             err = proc.stderr.read()
             rc = proc.wait()

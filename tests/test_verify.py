@@ -116,6 +116,16 @@ def test_a_system_fixed_point_with_no_circle_at_s_k_plus_1_raises():
         evaluate_point(("system-fixed", {"sizes": (2, 2, 1), "s": 1, "k": 2}, None))
 
 
+@pytest.mark.parametrize("params, message", [
+    # n - s*k = 0 and k = 0, the two divisors, which the grid never reaches
+    ({"n": 2, "s": 1, "k": 2}, r"n >= s\*k\+1 on the fixed element's circle"),
+    ({"n": 5, "s": 1, "k": 0}, r"k >= 1"),
+])
+def test_a_divisibility_point_with_a_zero_divisor_raises(params, message):
+    with pytest.raises(DomainError, match=message):
+        evaluate_point(("divisibility", params, None))
+
+
 @pytest.mark.parametrize("grid", [SweepGrid(), SweepGrid(max_size=4, max_k=3, max_s=2)],
                          ids=["default", "skips"])
 def test_skips_and_params_come_from_the_grid(grid):
