@@ -8,7 +8,8 @@ Four subcommands cover the library surface:
                  streamed from the search with no selection objects built
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
-* ``verify``     sweep the identity checks over a parameter grid
+* ``verify``     sweep the identity checks over a parameter grid, writing each
+                 point's line as it is evaluated (lines written stay on a failure)
 
 Counts are printed as exact decimal strings (never floats), output for a fixed
 invocation is byte-deterministic, and exit codes are stable: 0 success,
@@ -28,6 +29,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 
 from .bijection import zag, zig
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
@@ -38,8 +40,8 @@ from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
 from .enumeration import (EnumerationRequest, count_by_enumeration,
                           selection_runs)
-from .verify import (CHECKS, SweepGrid, overall_pass, render_table,
-                     to_json_lines, verify_all)
+from .verify import (CHECKS, SweepGrid, _status, json_line, summary_line, sweep,
+                     table_line)
 
 
 def _sizes(text: str) -> tuple[int, ...]:
@@ -274,12 +276,14 @@ def _cmd_verify(args) -> int:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     grid = SweepGrid(max_size=args.max_size, max_k=args.max_k, max_s=args.max_s,
                      checks=checks, jobs=args.jobs)
-    reports = verify_all(grid)
-    if args.format == "json":
-        sys.stdout.write(to_json_lines(reports))
-    else:
-        sys.stdout.write(render_table(reports))
-    return 0 if overall_pass(reports) else 1
+    counts, text = Counter(), args.format == "text"
+    with contextlib.closing(sweep(grid)) as reports:  # a pool ends before main returns
+        for report in reports:
+            counts[status := _status(report)] += 1
+            sys.stdout.write(table_line(report, status) if text else json_line(report))
+    if text:
+        sys.stdout.write(summary_line(counts))
+    return 1 if counts["FAIL"] else 0
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,11 @@ circulated but misprinted variant of the fixed-element sum (binomial exponent
 Its failures are expected and do not count against the overall verdict.
 
 Every evaluator takes a point's parameters as keywords, and every point is
-evaluated by itself: its report is a pure function of the point, so
-points may run in any order and in any process.  Reports are assembled in
-canonical grid order; the job count changes only where the points run, and
-output for a fixed grid is byte-identical for any job count.  The pool's
-module is imported only when a pool runs.
+evaluated by itself, so points may run in any order and in any process: the
+job count changes only where they run, never the output.  ``sweep`` yields
+each report in canonical grid order as soon as it is built, so a reader can
+write its line (``table_line``, ``json_line``) at once and end the table with
+``summary_line``.  The pool's module is imported only when a pool runs.
 """
 
 from __future__ import annotations
@@ -151,13 +151,15 @@ def _gen_systems(grid: SweepGrid, check: str, first_beside: bool,
                     None if max(sizes) >= lo else f"no circle reaches s*k+1 = {lo}")
 
 
-def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
-    """All parameter points of the selected checks, in canonical order."""
-    points: list[tuple[str, dict, str | None]] = []
+def _points(grid: SweepGrid):  # grid_points, one point at a time
     for check in grid.checks:
         generator, args, _ = _CHECKS[check]
-        points.extend(generator(grid, check, *args))
-    return points
+        yield from generator(grid, check, *args)
+
+
+def grid_points(grid: SweepGrid) -> list[tuple[str, dict, str | None]]:
+    """All parameter points of the selected checks, in canonical order."""
+    return list(_points(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +360,25 @@ def evaluate_point(point: tuple) -> IdentityReport:
                           counterexample="".join(counterexample))
 
 
-def verify_all(grid: SweepGrid) -> list[IdentityReport]:
-    """Evaluate every selected check over the grid; canonical report order.
-    The job count, capped at the CPUs this process may run on since a pool
-    starts all its workers at once, changes only where the points run: one
-    job runs them in this process, more in a pool of that many workers."""
-    points = grid_points(grid)
+def sweep(grid: SweepGrid):
+    """Yield the selected checks' reports over the grid in canonical order, as
+    they are evaluated: here, or in a pool of ``jobs`` workers (at most one per
+    CPU this process may run on, as all start at once), which ``close`` ends."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if jobs == 1:
-        # popped: each point's tuple goes once its report, holding its params, is built
-        reports = [evaluate_point(points.pop()) for _ in range(len(points))]
-        return reports[::-1]
+        yield from map(evaluate_point, _points(grid))
+        return
     from concurrent.futures import ProcessPoolExecutor
+    points = grid_points(grid)
     chunk = max(1, len(points) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate_point, points, chunksize=chunk))
+        yield from pool.map(evaluate_point, points, chunksize=chunk)
+
+
+def verify_all(grid: SweepGrid) -> list[IdentityReport]:
+    """``sweep(grid)``'s reports, as a list."""
+    return list(sweep(grid))
 
 
 def overall_pass(reports) -> bool:
@@ -382,34 +387,37 @@ def overall_pass(reports) -> bool:
                if not r.skipped and r.check not in DOCUMENTATION_CHECKS)
 
 
-def to_json_lines(reports) -> str:
-    return "".join(json.dumps(r.as_dict(), separators=(",", ":")) + "\n"
-                   for r in reports)
-
-
 def _status(report: IdentityReport) -> str:
-    if report.skipped:
-        return "SKIP"
-    if report.passed:
-        return "PASS"
-    return "XFAIL" if report.check in DOCUMENTATION_CHECKS else "FAIL"
+    return ("SKIP" if report.skipped else "PASS" if report.passed
+            else "XFAIL" if report.check in DOCUMENTATION_CHECKS else "FAIL")
+
+
+def json_line(report: IdentityReport) -> str:
+    return json.dumps(report.as_dict(), separators=(",", ":")) + "\n"
+
+
+def table_line(report: IdentityReport, status: str) -> str:
+    params = " ".join(
+        f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for key, v in report.params.items())
+    detail = report.reason if report.skipped else f"{report.left} vs {report.right}"
+    if report.counterexample:
+        detail += f" [{report.counterexample}]"
+    return f"{status:5} {report.check:17} {params:28} {detail}\n"
+
+
+def summary_line(counts: Counter) -> str:
+    """The table's last line, from the number of reports per ``_status``."""
+    return (f"result: {'FAIL' if counts['FAIL'] else 'PASS'} ({sum(counts.values())} "
+            f"points: {counts['PASS']} passed, {counts['FAIL']} failed, "
+            f"{counts['XFAIL']} expected failures, {counts['SKIP']} skipped)\n")
+
+
+def to_json_lines(reports) -> str:
+    return "".join(map(json_line, reports))
 
 
 def render_table(reports) -> str:
     """Fixed-layout human-readable table with a trailing summary line."""
-    lines = []
-    for r in reports:
-        params = " ".join(
-            f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
-            for key, v in r.params.items())
-        detail = r.reason if r.skipped else f"{r.left} vs {r.right}"
-        if r.counterexample:
-            detail += f" [{r.counterexample}]"
-        lines.append(f"{_status(r):5} {r.check:17} {params:28} {detail}")
-    counts = Counter(_status(r) for r in reports)
-    lines.append(
-        f"result: {'PASS' if overall_pass(reports) else 'FAIL'} "
-        f"({len(reports)} points: {counts.get('PASS', 0)} passed, "
-        f"{counts.get('FAIL', 0)} failed, {counts.get('XFAIL', 0)} expected "
-        f"failures, {counts.get('SKIP', 0)} skipped)")
-    return "\n".join(lines) + "\n"
+    return ("".join(table_line(r, _status(r)) for r in reports)
+            + summary_line(Counter(map(_status, reports))))

@@ -20,7 +20,8 @@ from circsep.core import (CircleSystem, Element, InvariantViolation,
                           SeparationParams)
 from circsep.enumeration import (EnumerationRequest, enumerate_gap,
                                  selection_keys, selection_runs)
-from circsep.verify import IdentityReport
+from circsep import verify
+from circsep.verify import IdentityReport, overall_pass, render_table
 
 
 def run(capsys, *argv):
@@ -462,6 +463,15 @@ FIRST_WRITE = {"text": ",".join(FIRST_OF_200) + "\n",
                "json": "[" + json.dumps(FIRST_OF_200, separators=(",", ":"))}
 
 
+# CI's larger verify grid, and its first line in each format
+VERIFY_LARGE = ["verify", "--max-size", "12", "--max-k", "4", "--max-s", "3"]
+VERIFY_FIRST = {
+    "text": "PASS  circle            n=2 s=1 k=1                  2 vs 2\n",
+    "json": json.dumps(IdentityReport("circle", {"n": 2, "s": 1, "k": 1}, "2", "2",
+                                      passed=True).as_dict(),
+                       separators=(",", ":")) + "\n"}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_enumerate_streams(fmt):
     # a family far too large to list: its first line must come out at once
@@ -491,12 +501,21 @@ def test_enumerate_streams(fmt):
     (["count", "--sizes", "10", "--s", "1", "--k", "3"], 0),
     # JSON's one line does not end: the reader stops after the first write
     ([*ENUMERATE_200, "--format", "json"], 1),
+    # verify's lines, from this process and from a pool, whose pending chunks
+    # are cancelled and whose workers are stopped before the command exits;
+    # unbuffered, where one write of the whole table, cut short by the reader,
+    # returned without an error and the command exited 0
+    *[([*VERIFY_LARGE, "--format", fmt, "--jobs", jobs], 1)
+      for fmt in ("text", "json") for jobs in ("1", "2")],
 ])
 def test_closed_stdout_exits_141_quietly(argv, lines):
     # no traceback, and not exit 1, which means a failed verification
-    first = FIRST_WRITE["json" if "json" in argv else "text"]
+    first = (VERIFY_FIRST if argv[0] == "verify" else FIRST_WRITE)[
+        "json" if "json" in argv else "text"]
     env = {name: value for name, value in os.environ.items()
            if name != "PYTHONUNBUFFERED"}
+    if argv[0] == "verify":
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen([sys.executable, "-m", "circsep", *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True) as proc:
@@ -681,13 +700,104 @@ def test_verify_unknown_check(capsys):
 
 def test_verify_reports_failure_in_exit_code(capsys, monkeypatch):
     # the pipeline turns any failed non-documentation report into exit 1
-    monkeypatch.setattr(cli, "verify_all", lambda grid: [
-        IdentityReport(check="circle", params={"n": 5, "s": 1, "k": 2},
-                       left="5", right="4")])
+    def sweep(grid):  # a generator, as the one the CLI reads
+        yield IdentityReport(check="circle", params={"n": 5, "s": 1, "k": 2},
+                             left="5", right="4")
+
+    monkeypatch.setattr(cli, "sweep", sweep)
     rc, out, _ = run(capsys, "verify")
     assert rc == 1
     assert out.splitlines()[-1].startswith("result: FAIL")
     assert out.splitlines()[0].startswith("FAIL")
+
+
+def test_verify_streams():
+    # a grid that runs for minutes: its first line must come out at once
+    argv = [sys.executable, "-m", "circsep", "verify", "--checks", "bijection",
+            "--max-size", "60", "--max-k", "4", "--max-s", "1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            head = proc.stdout.readline()
+        finally:
+            timer.cancel()
+            proc.kill()
+    assert head == "PASS  bijection         n1=2 n2=1 s=1 k=1            0 vs 0\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_memory_stays_flat(fmt):
+    # 51,330 points, each line written as its point is evaluated: the peak
+    # RSS of the one child of a second interpreter, its stdout at os.devnull,
+    # which the list of every report and the joined output pushed to 52 MiB
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'circsep', 'verify', '--checks',"
+        " 'recursion', '--max-size', '30', '--max-k', '2', '--max-s', '1',"
+        f" '--format', '{fmt}'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    mib = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert mib < 40
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_internal_error_keeps_the_lines_before_it(capsys, monkeypatch, fmt):
+    # a broken invariant at a later point exits 4; the lines of the points
+    # evaluated before it have been written, and no later one is
+    argv = ["verify", "--checks", "circle", "--max-size", "8", "--max-k", "1",
+            "--max-s", "1", "--format", fmt]
+    rc, whole, _ = run(capsys, *argv)
+    lines = whole.splitlines(keepends=True)
+    assert rc == 0
+    assert ('"n":6,' if fmt == "json" else "n=6 ") in lines[4]
+    count_circle = verify.count_circle
+
+    def broken(n, s, k):
+        if n == 6:
+            raise InvariantViolation("count_circle: 6 is not divisible by 5")
+        return count_circle(n, s, k)
+
+    monkeypatch.setattr(verify, "count_circle", broken)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (4, "".join(lines[:4]))
+    assert err == "internal error: count_circle: 6 is not divisible by 5\n"
+
+
+# one report of each status, two for SKIP and PASS: a skipped documentation
+# point, and a documentation point that passes
+FABRICATED = [
+    IdentityReport("circle", {"n": 5, "s": 1, "k": 2}, "5", "5", passed=True),
+    IdentityReport("circle", {"n": 5, "s": 1, "k": 2}, "5", "4"),
+    IdentityReport("fixed-sum-printed", {"m": 6, "n": 7, "s": 1, "k": 2}, "9/2",
+                   "6", counterexample="term j=1 is 3/2, not an integer"),
+    IdentityReport("system-fixed", {"p": 2, "s": 2, "k": 3}, skipped=True,
+                   reason="no circle size in [7, 6]"),
+    IdentityReport("fixed-sum-printed", {"m": 2, "n": 3, "s": 1, "k": 1},
+                   skipped=True, reason="no size pair in [3, 2] x [2, 2]"),
+    IdentityReport("fixed-sum-printed", {"m": 5, "n": 6, "s": 1, "k": 2}, "6",
+                   "6", passed=True),
+]
+
+
+def test_verify_summary_and_exit_code_agree_with_overall_pass(monkeypatch):
+    # the CLI counts statuses as it writes; its verdict is overall_pass's
+    for size in range(4):
+        for reports in itertools.product(FABRICATED, repeat=size):
+            monkeypatch.setattr(cli, "sweep", lambda grid: (r for r in reports))
+            passed = overall_pass(reports)
+            rc, out, err = call(["verify"])
+            assert (rc, err) == (0 if passed else 1, "")
+            assert out == render_table(reports)
+            assert out.splitlines()[-1].startswith(
+                f"result: {'PASS' if passed else 'FAIL'} ({size} points: ")
+            rc, out, err = call(["verify", "--format", "json"])
+            assert (rc, err) == (0 if passed else 1, "")
+            assert len(out.splitlines()) == size
 
 
 # ---------------------------------------------------------------------------
