@@ -3,10 +3,12 @@ import csv
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -465,6 +467,9 @@ FIRST_WRITE = {"text": ",".join(FIRST_OF_200) + "\n",
 
 # CI's larger verify grid, and its first line in each format
 VERIFY_LARGE = ["verify", "--max-size", "12", "--max-k", "4", "--max-s", "3"]
+# a grid that takes minutes: more than 75 s at one job on 2 cores
+VERIFY_SLOW = ["verify", "--checks", "bijection", "--max-size", "60",
+               "--max-k", "4", "--max-s", "1"]
 VERIFY_FIRST = {
     "text": "PASS  circle            n=2 s=1 k=1                  2 vs 2\n",
     "json": json.dumps(IdentityReport("circle", {"n": 2, "s": 1, "k": 1}, "2", "2",
@@ -541,6 +546,23 @@ def test_closed_stdout_without_a_descriptor_exits_141():
     with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
         rc = cli.main(["count", "--sizes", "10", "--s", "1", "--k", "3"])
     assert (rc, err.getvalue()) == (141, "")
+
+
+def test_closed_stdout_stops_the_verify_pool_before_main_returns():
+    # the first write fails: the sweep is closed, its pending chunks are
+    # cancelled, and its workers have exited by the time main returns; the
+    # grid takes minutes, its first chunks about a second
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    err = io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+        rc = cli.main([*VERIFY_SLOW, "--jobs", "2"])
+    assert (rc, err.getvalue()) == (141, "")
+    assert time.monotonic() - started < 30
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +735,7 @@ def test_verify_reports_failure_in_exit_code(capsys, monkeypatch):
 
 def test_verify_streams():
     # a grid that runs for minutes: its first line must come out at once
-    argv = [sys.executable, "-m", "circsep", "verify", "--checks", "bijection",
-            "--max-size", "60", "--max-k", "4", "--max-s", "1"]
+    argv = [sys.executable, "-m", "circsep", *VERIFY_SLOW]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
         timer = threading.Timer(60, proc.kill)
         timer.start()
