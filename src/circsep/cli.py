@@ -9,7 +9,7 @@ Four subcommands cover the library surface:
 * ``bijection``  map a two-circle selection onto the combined circle and back,
                  optionally with the full switch trace
 * ``verify``     sweep the identity checks over a parameter grid, writing each
-                 point's line as it is evaluated (lines written stay on a failure)
+                 point's line as it is evaluated, so an error keeps those before it
 
 Counts are printed as exact decimal strings (never floats), output for a fixed
 invocation is byte-deterministic, and exit codes are stable: 0 success,
