@@ -7,10 +7,14 @@ between them along the shorter arc.  This package counts such selections in
 exact integer arithmetic, enumerates them, maps them bijectively onto
 selections of a single combined circle, and cross-checks every closed form
 against brute-force enumeration.
+
+``import circsep`` loads ``core``, ``counting`` and ``enumeration``.  The names
+from ``bijection`` and ``verify`` load their module on first access, so the
+``count`` and ``enumerate`` commands never load either.
 """
 
-from .bijection import (BijectivityReport, SwitchStep, ZigZagTrace, backward,
-                        check_bijectivity, forward, zag, zig)
+import importlib
+
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, circular_distance, flatten,
                    format_flat_selection, is_s_separated, parse_element,
@@ -20,10 +24,6 @@ from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_fixed_recursive)
 from .enumeration import (EnumerationRequest, count_by_enumeration,
                           enumerate_gap, enumerate_naive, selection_keys)
-from .verify import (CHECKS, DOCUMENTATION_CHECKS, IdentityReport, SweepGrid,
-                     grid_points, overall_pass, render_table, to_json_lines,
-                     verify_all, verify_convolution_identity,
-                     verify_fixed_sum_identity, verify_fixed_sum_printed)
 
 __version__ = "0.1.0"
 
@@ -41,3 +41,26 @@ __all__ = [
     "to_json_lines", "unflatten", "verify_all", "verify_convolution_identity",
     "verify_fixed_sum_identity", "verify_fixed_sum_printed", "zag", "zig",
 ]
+
+# name -> the module it is loaded from on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("BijectivityReport", "SwitchStep", "ZigZagTrace", "backward",
+                     "check_bijectivity", "forward", "zag", "zig"), "bijection"),
+    **dict.fromkeys(("CHECKS", "DOCUMENTATION_CHECKS", "IdentityReport",
+                     "SweepGrid", "grid_points", "overall_pass", "render_table",
+                     "to_json_lines", "verify_all", "verify_convolution_identity",
+                     "verify_fixed_sum_identity", "verify_fixed_sum_printed"),
+                    "verify"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:  # so ``from circsep import verify`` imports the module
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

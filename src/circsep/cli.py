@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from collections import Counter
 
-from .bijection import zag, zig
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, flatten,
                    format_flat_selection, parse_element, parse_flat_selection,
@@ -40,8 +38,11 @@ from .counting import (count_system, count_system_convolution,
                        count_system_fixed, count_system_fixed_recursive)
 from .enumeration import (EnumerationRequest, count_by_enumeration,
                           selection_runs)
-from .verify import (CHECKS, SweepGrid, _status, json_line, summary_line, sweep,
-                     table_line)
+
+# verify.CHECKS (a test ties the two), so that the parser need not import verify
+_CHECKS = ("circle", "circle-fixed", "system", "system-fixed", "recursion",
+           "convolution", "fixed-sum", "fixed-sum-printed", "bijection",
+           "double-count", "divisibility")
 
 
 def _sizes(text: str) -> tuple[int, ...]:
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="sweep the identity checks over a grid")
     p_ver.add_argument("--checks", default=None, metavar="LIST",
-                       help=f"comma-separated subset of: {', '.join(CHECKS)}")
+                       help=f"comma-separated subset of: {', '.join(_CHECKS)}")
     p_ver.add_argument("--max-size", type=_positive, default=10)
     p_ver.add_argument("--max-k", type=_positive, default=3)
     p_ver.add_argument("--max-s", type=_positive, default=2)
@@ -133,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_dump(payload) -> str:
+    import json
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -237,6 +239,7 @@ def _parse_set(text: str, parse):
 
 
 def _cmd_bijection(args) -> int:
+    from .bijection import zag, zig
     system = CircleSystem(args.sizes)
     # zig and zag refuse other systems with DomainError, which would exit 3
     if system.num_circles != 2:
@@ -271,6 +274,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import (CHECKS, SweepGrid, _status, json_line, summary_line,
+                         sweep, table_line)
     checks = CHECKS
     if args.checks is not None:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())

@@ -714,6 +714,13 @@ def test_verify_json(capsys):
         assert report["pass"] or report["skipped"]
 
 
+def test_verify_help_lists_the_checks_verify_runs():
+    # the parser keeps its own copy of the names, so that building it does
+    # not import verify; the copy is verify's list, in its order (the help's
+    # bytes are pinned in golden.txt)
+    assert cli._CHECKS == verify.CHECKS
+
+
 def test_verify_unknown_check(capsys):
     assert run(capsys, "verify", "--checks", "circle,nope")[0] == 2
     assert run(capsys, "verify", "--checks", ",")[0] == 2
@@ -726,7 +733,7 @@ def test_verify_reports_failure_in_exit_code(capsys, monkeypatch):
         yield IdentityReport(check="circle", params={"n": 5, "s": 1, "k": 2},
                              left="5", right="4")
 
-    monkeypatch.setattr(cli, "sweep", sweep)
+    monkeypatch.setattr(verify, "sweep", sweep)  # read when the command runs
     rc, out, _ = run(capsys, "verify")
     assert rc == 1
     assert out.splitlines()[-1].startswith("result: FAIL")
@@ -809,7 +816,7 @@ def test_verify_summary_and_exit_code_agree_with_overall_pass(monkeypatch):
     # the CLI counts statuses as it writes; its verdict is overall_pass's
     for size in range(4):
         for reports in itertools.product(FABRICATED, repeat=size):
-            monkeypatch.setattr(cli, "sweep", lambda grid: (r for r in reports))
+            monkeypatch.setattr(verify, "sweep", lambda grid: (r for r in reports))
             passed = overall_pass(reports)
             rc, out, err = call(["verify"])
             assert (rc, err) == (0 if passed else 1, "")
@@ -941,7 +948,7 @@ _BOUNDS = _mostly(st.integers(1, 4).map(str), _BAD_COUNTS)
 _VERIFY = {
     "--max-size": _BOUNDS, "--max-k": _BOUNDS, "--max-s": _BOUNDS,
     # real and unknown names, empty pieces, so stray and doubled commas
-    "--checks": st.lists(st.sampled_from(cli.CHECKS)
+    "--checks": st.lists(st.sampled_from(verify.CHECKS)
                          | st.sampled_from(("nope", "Circle", "", " ")),
                          max_size=4).map(",".join),
     "--format": _FORMATS,
@@ -981,10 +988,15 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # loaded only by a verify pool (--jobs >= 2) and the printed fixed-sum check
 POOL_AND_FRACTIONS = {"concurrent.futures", "concurrent.futures.process",
                       "multiprocessing", "fractions"}
-COLD_START_ARGVS = [
+# count and enumerate run neither verify nor the bijection, so load neither
+COUNT_AND_ENUMERATE = [
     ["count", "--sizes", "8,7", "--s", "2", "--k", "3"],
-    ["count", "--sizes", "8,7", "--s", "2", "--k", "3", "--format", "json"],
     ["enumerate", "--sizes", "16,16,17", "--s", "2", "--k", "4", "--limit", "5"],
+]
+UNUSED_BY_THEM = {"circsep.verify", "circsep.bijection", "json"}
+COLD_START_ARGVS = [
+    *COUNT_AND_ENUMERATE,
+    ["count", "--sizes", "8,7", "--s", "2", "--k", "3", "--format", "json"],
     ["bijection", "backward", "--sizes", "10,10", "--s", "1",
      "--set", "1,3,5,8,10,17,19", "--trace"],
     ["verify", "--checks", "divisibility", "--max-size", "4", "--jobs", "1"],
@@ -1017,6 +1029,15 @@ def test_cold_start_loads_no_pool_and_no_fractions():
     assert rcs == ["0"] * len(COLD_START_ARGVS)
     assert "circsep.verify" in modules
     assert not modules & POOL_AND_FRACTIONS
+
+
+def test_count_and_enumerate_load_neither_verify_nor_the_bijection():
+    rcs, modules = newly_loaded(
+        "import circsep.cli\n"
+        f"rcs = [circsep.cli.main(argv) for argv in {COUNT_AND_ENUMERATE!r}]\n")
+    assert rcs == ["0"] * len(COUNT_AND_ENUMERATE)
+    assert {"circsep.core", "circsep.counting", "circsep.enumeration"} <= modules
+    assert not modules & (UNUSED_BY_THEM | POOL_AND_FRACTIONS)
     # the same through the package's __main__, as python -m circsep runs it
     rcs, modules = newly_loaded(
         "sys.argv = ['circsep', 'count', '--sizes', '10', '--s', '1', '--k', '3']\n"
@@ -1025,5 +1046,5 @@ def test_cold_start_loads_no_pool_and_no_fractions():
         "except SystemExit as exit:\n"
         "    rcs = [exit.code]\n")
     assert rcs == ["0"]
-    assert "circsep.verify" in modules
-    assert not modules & POOL_AND_FRACTIONS
+    assert "circsep.cli" in modules
+    assert not modules & (UNUSED_BY_THEM | POOL_AND_FRACTIONS)
