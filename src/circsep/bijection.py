@@ -32,17 +32,15 @@ exhaustively for one parameter point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
-                   SelectionSet, SeparationParams, _check_bounds, _require_ints,
-                   _require_two_circles, flatten, is_s_separated, unflatten)
+                   SelectionSet, SeparationParams, _check_bounds, _Record,
+                   _require_ints, _require_two_circles, _setattr, flatten,
+                   is_s_separated, unflatten)
 from .counting import count_system_fixed
 from .enumeration import EnumerationRequest, _selection, selection_keys
 
 
-@dataclass(frozen=True, slots=True)
-class SwitchStep:
+class SwitchStep(_Record):
     """One executed switch: the inspected window, what left, what entered.
 
     ``gap`` is the distance from the previous insertion point down to the
@@ -50,21 +48,24 @@ class SwitchStep:
     removal on the other circle.
     """
 
-    index: int
-    window_circle: int
-    window_lo: int
-    window_hi: int
-    removed: int
-    gap: int
-    added: int
+    __slots__ = ("index", "window_circle", "window_lo", "window_hi", "removed",
+                 "gap", "added")
 
-    def __post_init__(self) -> None:
-        if self.gap < 1:
-            raise InvariantViolation(f"switch gap must be >= 1, got {self.gap}")
-        if not self.window_lo <= self.removed <= self.window_hi:
+    def __init__(self, index: int, window_circle: int, window_lo: int,
+                 window_hi: int, removed: int, gap: int, added: int) -> None:
+        if gap < 1:
+            raise InvariantViolation(f"switch gap must be >= 1, got {gap}")
+        if not window_lo <= removed <= window_hi:
             raise InvariantViolation(
-                f"removed position {self.removed} outside window "
-                f"[{self.window_lo}, {self.window_hi}]")
+                f"removed position {removed} outside window "
+                f"[{window_lo}, {window_hi}]")
+        _setattr(self, "index", index)
+        _setattr(self, "window_circle", window_circle)
+        _setattr(self, "window_lo", window_lo)
+        _setattr(self, "window_hi", window_hi)
+        _setattr(self, "removed", removed)
+        _setattr(self, "gap", gap)
+        _setattr(self, "added", added)
 
     def as_dict(self) -> dict:
         return {
@@ -77,12 +78,14 @@ class SwitchStep:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ZigZagTrace:
+class ZigZagTrace(_Record):
     """The full switch chain of one zig or zag run."""
 
-    direction: str  # "zig" | "zag"
-    steps: tuple[SwitchStep, ...]
+    __slots__ = ("direction", "steps")
+
+    def __init__(self, direction: str, steps: tuple[SwitchStep, ...]) -> None:
+        _setattr(self, "direction", direction)  # "zig" | "zag"
+        _setattr(self, "steps", steps)
 
     @property
     def order(self) -> int:
@@ -227,17 +230,22 @@ def backward(positions, system: CircleSystem, s: int) -> SelectionSet:
     return repaired
 
 
-@dataclass(frozen=True, slots=True)
-class BijectivityReport:
+class BijectivityReport(_Record):
     """Outcome of exhaustively checking one (n_1, n_2, s, k) point."""
 
-    system: CircleSystem
-    s: int
-    k: int
-    domain_size: int
-    codomain_size: int
-    expected_size: int
-    failures: tuple[str, ...]
+    __slots__ = ("system", "s", "k", "domain_size", "codomain_size",
+                 "expected_size", "failures")
+
+    def __init__(self, system: CircleSystem, s: int, k: int, domain_size: int,
+                 codomain_size: int, expected_size: int,
+                 failures: tuple[str, ...]) -> None:
+        _setattr(self, "system", system)
+        _setattr(self, "s", s)
+        _setattr(self, "k", k)
+        _setattr(self, "domain_size", domain_size)
+        _setattr(self, "codomain_size", codomain_size)
+        _setattr(self, "expected_size", expected_size)
+        _setattr(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,7 @@ over a flattened single circle are written as bare integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class DomainError(ValueError):
@@ -32,17 +32,67 @@ class InvariantViolation(RuntimeError):
     """An internal structural guarantee failed; indicates a genuine bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+_setattr = object.__setattr__  # a record's __init__ sets its fields with it
+
+
+class _Record:
+    """Base of the frozen records.  A subclass names its fields in
+    ``__slots__``, in the order of its ``__init__``'s parameters, and sets
+    each one there with ``_setattr``.  The base makes the fields read-only,
+    compares and hashes a record by its class and its field values, writes
+    it as ``Name(field=value, ...)``, matches ``case Name(a, b)`` patterns
+    on the fields in that order and pickles it as a call of its class on
+    those values.  The ``dataclasses`` helpers do not apply to a record."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Element(_Record):
     """One selected object: position ``position`` on circle ``circle``."""
 
-    position: int
-    circle: int
+    __slots__ = ("position", "circle")
 
-    def __post_init__(self) -> None:
-        p, c = self.position, self.circle
-        if not (type(p) is int and p >= 1 and type(c) is int and c >= 1):
-            _require_ints("Element", 1, position=p, circle=c)
+    def __init__(self, position: int, circle: int) -> None:
+        if not (type(position) is int and position >= 1
+                and type(circle) is int and circle >= 1):
+            _require_ints("Element", 1, position=position, circle=circle)
+        _setattr(self, "position", position)
+        _setattr(self, "circle", circle)
+
+    # compared and hashed for each element of every selection built, by its
+    # two fields: `==` in under half, `hash` in 3/4 of the base's getter's time
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.position == other.position and self.circle == other.circle
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.position, self.circle))
 
     @property
     def key(self) -> tuple[int, int]:
@@ -56,21 +106,20 @@ class Element:
         return f"{self.position}@{self.circle}"
 
 
-@dataclass(frozen=True, slots=True)
-class CircleSystem:
+class CircleSystem(_Record):
     """A disjoint union of circles with the given positive sizes."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
-    def __post_init__(self) -> None:
-        sizes = tuple(self.sizes)
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        sizes = tuple(sizes)
         if not sizes:
             raise ValueError("a circle system needs at least one circle")
         for n in sizes:
             if type(n) is not int or n < 1:
                 _require_ints("CircleSystem", 1,
                               **{f"n_{i}": m for i, m in enumerate(sizes, 1)})
-        object.__setattr__(self, "sizes", sizes)
+        _setattr(self, "sizes", sizes)
 
     @property
     def num_circles(self) -> int:
@@ -101,19 +150,18 @@ class CircleSystem:
                 yield Element(p, c)
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationParams:
+class SeparationParams(_Record):
     """Separation distance ``s`` (>= 0) and selection size ``k`` (>= 0)."""
 
-    s: int
-    k: int
+    __slots__ = ("s", "k")
 
-    def __post_init__(self) -> None:
-        _require_ints("SeparationParams", 0, s=self.s, k=self.k)
+    def __init__(self, s: int, k: int) -> None:
+        _require_ints("SeparationParams", 0, s=s, k=k)
+        _setattr(self, "s", s)
+        _setattr(self, "k", k)
 
 
-@dataclass(frozen=True, slots=True, eq=True)
-class SelectionSet:
+class SelectionSet(_Record):
     """An immutable duplicate-free set of elements in canonical order.
 
     Construction accepts the elements in any order; they are sorted by
@@ -121,11 +169,10 @@ class SelectionSet:
     members always compare equal.
     """
 
-    elements: tuple[Element, ...] = field(default=())
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple[Element, ...] = ()) -> None:
+        _setattr(self, "elements", tuple(sorted(set(elements))))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -21,22 +21,23 @@ output is deterministic and directly comparable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import CircleSystem, Element, SelectionSet, SeparationParams
+from .core import (CircleSystem, Element, SelectionSet, SeparationParams, _Record,
+                   _setattr)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationRequest:
+class EnumerationRequest(_Record):
     """A system, separation parameters, and an optional required element."""
 
-    system: CircleSystem
-    params: SeparationParams
-    fixed: Element | None = None
+    __slots__ = ("system", "params", "fixed")
 
-    def __post_init__(self) -> None:
-        if self.fixed is not None:
-            self.system.check_element(self.fixed)
+    def __init__(self, system: CircleSystem, params: SeparationParams,
+                 fixed: Element | None = None) -> None:
+        if fixed is not None:
+            system.check_element(fixed)
+        _setattr(self, "system", system)
+        _setattr(self, "params", params)
+        _setattr(self, "fixed", fixed)
 
 
 def _selection(pairs) -> SelectionSet:

@@ -25,11 +25,10 @@ import itertools
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 
 from .bijection import check_bijectivity
 from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
-                   _least_size, _require_ints)
+                   _least_size, _Record, _require_ints, _setattr)
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
@@ -38,18 +37,23 @@ from .enumeration import EnumerationRequest, count_by_enumeration, selection_run
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """One evaluated (or skipped) parameter point of one check."""
 
-    check: str
-    params: dict
-    left: str = ""
-    right: str = ""
-    passed: bool = False
-    skipped: bool = False
-    reason: str = ""
-    counterexample: str = ""
+    __slots__ = ("check", "params", "left", "right", "passed", "skipped",
+                 "reason", "counterexample")
+
+    def __init__(self, check: str, params: dict, left: str = "", right: str = "",
+                 passed: bool = False, skipped: bool = False, reason: str = "",
+                 counterexample: str = "") -> None:
+        _setattr(self, "check", check)
+        _setattr(self, "params", params)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "passed", passed)
+        _setattr(self, "skipped", skipped)
+        _setattr(self, "reason", reason)
+        _setattr(self, "counterexample", counterexample)
 
     def as_dict(self) -> dict:
         return {
@@ -321,33 +325,32 @@ _CHECKS = {
 CHECKS = tuple(_CHECKS)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepGrid:
+class SweepGrid(_Record):
     """Grid bounds and execution hints for ``verify_all``.
 
     Sweeps run s in ``1..max_s``, k in ``1..max_k``, and circle sizes up to
     ``max_size`` (lower bounds follow each check's precondition).
     """
 
-    max_size: int = 10
-    max_k: int = 3
-    max_s: int = 2
-    checks: tuple[str, ...] = CHECKS
-    jobs: int = 1
+    __slots__ = ("max_size", "max_k", "max_s", "checks", "jobs")
 
-    def __post_init__(self) -> None:
-        _require_ints("SweepGrid", 1, max_size=self.max_size, max_k=self.max_k,
-                      max_s=self.max_s, jobs=self.jobs)
-        if isinstance(self.checks, str):
-            raise ValueError(f"checks takes check names, not a string: {self.checks!r}")
-        if not self.checks:
+    def __init__(self, max_size: int = 10, max_k: int = 3, max_s: int = 2,
+                 checks: tuple[str, ...] = CHECKS, jobs: int = 1) -> None:
+        _require_ints("SweepGrid", 1, max_size=max_size, max_k=max_k,
+                      max_s=max_s, jobs=jobs)
+        if isinstance(checks, str):
+            raise ValueError(f"checks takes check names, not a string: {checks!r}")
+        if not checks:
             raise ValueError("at least one check is required")
-        unknown = [c for c in self.checks if c not in CHECKS]
+        unknown = [c for c in checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}; "
                              f"available: {', '.join(CHECKS)}")
-        ordered = tuple(c for c in CHECKS if c in set(self.checks))
-        object.__setattr__(self, "checks", ordered)
+        _setattr(self, "max_size", max_size)
+        _setattr(self, "max_k", max_k)
+        _setattr(self, "max_s", max_s)
+        _setattr(self, "checks", tuple(c for c in CHECKS if c in set(checks)))
+        _setattr(self, "jobs", jobs)
 
 
 def evaluate_point(point: tuple) -> IdentityReport:

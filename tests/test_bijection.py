@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
@@ -274,7 +272,9 @@ def _move(old, new):
 
 
 def _unmirror(selected, steps):
-    return (dataclasses.replace(steps[0], added=steps[0].added - 1),)
+    first = steps[0]
+    return (SwitchStep(first.index, first.window_circle, first.window_lo,
+                       first.window_hi, first.removed, first.gap, first.added - 1),)
 
 
 # on 7,6 at s = 2, k = 2, zig takes 1@1,6@2 to 1@1,7@1 and zag takes it back

@@ -1,14 +1,17 @@
 import itertools
+import pickle
 
 import pytest
 
-from circsep.bijection import backward, zag, zig
+from circsep.bijection import (BijectivityReport, SwitchStep, ZigZagTrace,
+                               backward, zag, zig)
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
-                          SeparationParams, circular_distance, flatten,
+                          SeparationParams, _Record, circular_distance, flatten,
                           format_flat_selection, is_s_separated, parse_element,
                           parse_flat_selection, parse_selection, unflatten)
 from circsep.counting import binomial, count_circle, count_system_fixed
-from circsep.verify import SweepGrid
+from circsep.enumeration import EnumerationRequest
+from circsep.verify import IdentityReport, SweepGrid
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,86 @@ def test_selection_str():
     sel = SelectionSet((Element(3, 2), Element(1, 1)))
     assert str(sel) == "1@1,3@2"
     assert str(SelectionSet()) == ""
+
+
+# ---------------------------------------------------------------------------
+# the frozen records
+
+
+# each record's class, its fields by keyword in signature order, and one
+# field given another value
+RECORDS = [
+    (Element, {"position": 3, "circle": 2}, "circle", 1),
+    (CircleSystem, {"sizes": (4, 3)}, "sizes", (4, 4)),
+    (SeparationParams, {"s": 1, "k": 2}, "k", 3),
+    (SelectionSet, {"elements": (Element(1, 1), Element(3, 2))}, "elements",
+     (Element(1, 1),)),
+    (EnumerationRequest, {"system": CircleSystem((4, 3)),
+                          "params": SeparationParams(1, 2),
+                          "fixed": Element(1, 1)}, "fixed", None),
+    (SwitchStep, {"index": 0, "window_circle": 2, "window_lo": 5,
+                  "window_hi": 6, "removed": 6, "gap": 1, "added": 7},
+     "added", 6),
+    (ZigZagTrace, {"direction": "zig", "steps": ()}, "direction", "zag"),
+    (BijectivityReport, {"system": CircleSystem((7, 6)), "s": 2, "k": 2,
+                         "domain_size": 8, "codomain_size": 8,
+                         "expected_size": 8, "failures": ()},
+     "failures", ("broken",)),
+    (IdentityReport, {"check": "circle", "params": {"n": 5, "s": 1, "k": 2},
+                      "left": "5", "right": "5", "passed": True,
+                      "skipped": False, "reason": "", "counterexample": ""},
+     "passed", False),
+    (SweepGrid, {"max_size": 6, "max_k": 2, "max_s": 1, "checks": ("circle",),
+                 "jobs": 2}, "jobs", 1),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name, other", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+def test_record_contract(cls, fields, name, other):
+    record = cls(**fields)
+    assert cls.__slots__ == tuple(fields) and not hasattr(record, "__dict__")
+    for field, value in fields.items():
+        assert getattr(record, field) == value
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+    twin, changed = cls(*fields.values()), cls(**{**fields, name: other})
+    assert record == twin and not record != twin
+    assert record != changed and not record == changed
+    # neither a tuple of the same values nor another class's record of them
+    values = tuple(fields.values())
+    stranger = _Record.__new__(type("Stranger", (_Record,), {"__slots__": cls.__slots__}))
+    for field, value in fields.items():
+        object.__setattr__(stranger, field, value)
+    assert record != values and record != stranger and stranger != record
+    try:
+        hash(values)
+    except TypeError:  # a dict among the fields: unhashable, as the values are
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) and len({record, twin, changed}) == 2
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{field}={value!r}" for field, value in fields.items()) + ")"
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    assert cls.__match_args__ == cls.__slots__
+
+
+def test_record_positional_pattern():
+    # a class pattern binds the fields positionally, in signature order
+    match Element(3, 2):
+        case Element(p, c):
+            assert (p, c) == (3, 2)
+        case _:
+            pytest.fail("no match")
+    match SeparationParams(1, 4):
+        case SeparationParams(1, k) if k == 4:
+            pass
+        case _:
+            pytest.fail("no match")
 
 
 # ---------------------------------------------------------------------------
