@@ -42,25 +42,18 @@ __all__ = [
     "verify_fixed_sum_identity", "verify_fixed_sum_printed", "zag", "zig",
 ]
 
-# name -> the module it is loaded from on first access (PEP 562)
-_LAZY = {
-    **dict.fromkeys(("BijectivityReport", "SwitchStep", "ZigZagTrace", "backward",
-                     "check_bijectivity", "forward", "zag", "zig"), "bijection"),
-    **dict.fromkeys(("CHECKS", "DOCUMENTATION_CHECKS", "IdentityReport",
-                     "SweepGrid", "grid_points", "overall_pass", "render_table",
-                     "to_json_lines", "verify_all", "verify_convolution_identity",
-                     "verify_fixed_sum_identity", "verify_fixed_sum_printed"),
-                    "verify"),
-}
-
 
 def __getattr__(name):
-    if name not in _LAZY:  # so ``from circsep import verify`` imports the module
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    # a name of __all__ not bound above comes from bijection or verify (PEP 562);
+    # any other raises, so ``from circsep import verify`` imports the module
+    if name in __all__:
+        for home in ("bijection", "verify"):  # verify imports bijection itself
+            module = importlib.import_module(f".{home}", __name__)
+            if hasattr(module, name):  # cached: no later lookup comes here
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(__all__))

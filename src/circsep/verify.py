@@ -35,6 +35,8 @@ from .counting import (binomial, count_circle, count_circle_fixed, count_system,
 from .enumeration import EnumerationRequest, count_by_enumeration, selection_runs
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
+# points per pool task: chunks of 1 took a 114,435-point grid from 6.5 to 10.5 s
+CHUNK = 64
 
 
 class IdentityReport(_Record):
@@ -364,19 +366,17 @@ def evaluate_point(point: tuple) -> IdentityReport:
 
 
 def sweep(grid: SweepGrid):
-    """Yield the selected checks' reports over the grid in canonical order, as
-    they are evaluated: here, or in a pool of ``jobs`` workers (at most one per
-    CPU this process may run on, as all start at once), which ``close`` ends."""
+    """Yield the grid's reports in canonical order as they are evaluated: here,
+    or by a pool of ``jobs`` workers (at most one per CPU this process may run
+    on, as all start at once), which reads points lazily; ``close`` ends it."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if jobs == 1:
         yield from map(evaluate_point, _points(grid))
         return
-    from concurrent.futures import ProcessPoolExecutor
-    points = grid_points(grid)
-    chunk = max(1, len(points) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(evaluate_point, points, chunksize=chunk)
+    from multiprocessing import Pool
+    with Pool(jobs) as pool:
+        yield from pool.imap(evaluate_point, _points(grid), CHUNK)
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:
@@ -385,9 +385,8 @@ def verify_all(grid: SweepGrid) -> list[IdentityReport]:
 
 
 def overall_pass(reports) -> bool:
-    """True when every evaluated non-documentation report passed."""
-    return all(r.passed for r in reports
-               if not r.skipped and r.check not in DOCUMENTATION_CHECKS)
+    """True unless some report's status (``_status``) is ``FAIL``."""
+    return not any(_status(r) == "FAIL" for r in reports)
 
 
 def _status(report: IdentityReport) -> str:

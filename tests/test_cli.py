@@ -549,9 +549,9 @@ def test_closed_stdout_without_a_descriptor_exits_141():
 
 
 def test_closed_stdout_stops_the_verify_pool_before_main_returns():
-    # the first write fails: the sweep is closed, its pending chunks are
-    # cancelled, and its workers have exited by the time main returns; the
-    # grid takes minutes, its first chunks about a second
+    # the first write fails: the sweep is closed, its pool is terminated,
+    # and its workers have exited by the time main returns; the grid takes
+    # minutes, its first tasks a fraction of a second
     class Closed(io.StringIO):
         def write(self, text):
             raise BrokenPipeError
@@ -754,16 +754,23 @@ def test_verify_streams():
     assert head == "PASS  bijection         n1=2 n2=1 s=1 k=1            0 vs 0\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_verify_memory_stays_flat(fmt):
+@pytest.mark.parametrize("fmt, size, jobs", [
+    pytest.param("text", 30, 1, id="text"),
+    pytest.param("json", 30, 1, id="json"),
+    # 123,240 points through a pool of two, which reads them as it goes; the
+    # workers are children of that child, so their peaks count too
+    pytest.param("text", 40, 2, id="jobs2"),
+])
+def test_verify_memory_stays_flat(fmt, size, jobs):
     # 51,330 points, each line written as its point is evaluated: the peak
     # RSS of the one child of a second interpreter, its stdout at os.devnull,
     # which the list of every report and the joined output pushed to 52 MiB
     code = (
         "import resource, subprocess, sys\n"
         "subprocess.run([sys.executable, '-m', 'circsep', 'verify', '--checks',"
-        " 'recursion', '--max-size', '30', '--max-k', '2', '--max-s', '1',"
-        f" '--format', '{fmt}'], stdout=subprocess.DEVNULL, check=True)\n"
+        f" 'recursion', '--max-size', '{size}', '--max-k', '2', '--max-s', '1',"
+        f" '--format', '{fmt}', '--jobs', '{jobs}'], stdout=subprocess.DEVNULL,"
+        " check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
 
@@ -10,7 +11,7 @@ from circsep import verify
 from circsep.core import DomainError
 from circsep.verify import (CHECKS, DOCUMENTATION_CHECKS, IdentityReport,
                             SweepGrid, evaluate_point, grid_points,
-                            overall_pass, render_table, to_json_lines,
+                            overall_pass, render_table, sweep, to_json_lines,
                             verify_all, verify_convolution_identity,
                             verify_fixed_sum_identity, verify_fixed_sum_printed)
 
@@ -369,8 +370,8 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, processes):
+            started.append(processes)
 
         def __enter__(self):
             return self
@@ -378,19 +379,19 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
+        def imap(self, fn, items, chunksize):
+            assert not isinstance(items, (list, tuple))  # the points are read lazily
             started.append(chunksize)
             return map(fn, items)
 
-    # verify_all imports the name from concurrent.futures when a pool starts
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    # sweep imports the name from multiprocessing when a pool starts
+    monkeypatch.setattr("multiprocessing.Pool", InlinePool)
     # three CPUs, by either count verify may read
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     small = dict(max_size=6, max_k=2, max_s=1)
     expected = to_json_lines(verify_all(SweepGrid(**small)))
-    points = len(grid_points(SweepGrid(**small)))
 
     def pool_shape(jobs):
         started.clear()
@@ -398,16 +399,38 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
         return started
 
     for jobs, workers in ((2, 2), (3, 3), (4, 3), (100_000, 3)):
-        assert pool_shape(jobs) == [workers, max(1, points // (workers * 8))]
+        assert pool_shape(jobs) == [workers, verify.CHUNK]
     # one CPU: no pool, the points run in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert pool_shape(100_000) == []
     # without the process's CPU set, the machine's count, or one when unknown
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert pool_shape(100_000) == [2, max(1, points // 16)]
+    assert pool_shape(100_000) == [2, verify.CHUNK]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pool_shape(100_000) == []
+
+
+def test_pool_reads_the_grid_as_it_goes_and_stops_on_close(monkeypatch):
+    # 114,435 points: the first report comes long before the pool has read
+    # them all, and closing the sweep ends its workers at once
+    pulled = 0
+    points = verify._points
+
+    def counted(grid):
+        nonlocal pulled
+        for point in points(grid):
+            pulled += 1
+            yield point
+
+    monkeypatch.setattr(verify, "_points", counted)
+    grid = SweepGrid(max_size=24, max_k=3, max_s=2, jobs=2)
+    reports = sweep(grid)
+    first = next(reports)
+    assert pulled < 114_435 // 4
+    assert first == evaluate_point(next(points(grid)))
+    reports.close()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
