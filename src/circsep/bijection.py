@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from .core import (CircleSystem, DomainError, Element, InvariantViolation,
                    SelectionSet, SeparationParams, _check_bounds, _Record,
-                   _require_ints, _require_two_circles, _setattr, flatten,
-                   is_s_separated, unflatten)
+                   _require_ints, _require_two_circles, _separated, _setattr,
+                   flatten, is_s_separated, unflatten)
 from .counting import count_system_fixed
 from .enumeration import EnumerationRequest, _selection, selection_keys
 
@@ -202,8 +202,7 @@ def zag(selection: SelectionSet, system: CircleSystem, s: int
     on the two circles.
     """
     selected = _check_common(selection, system, s, "zag")
-    flat = _selection((1, flatten(e, system)) for e in selection)
-    if not is_s_separated(flat, CircleSystem((system.total,)), s):
+    if not _separated(sorted(flatten(e, system) for e in selection), system.total, s):
         raise DomainError(
             "zag requires a selection whose flattening is s-separated on the "
             "combined circle")

@@ -274,20 +274,16 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import (CHECKS, SweepGrid, _status, json_line, summary_line,
-                         sweep, table_line)
+    from .verify import CHECKS, SweepGrid, report_lines, sweep
     checks = CHECKS
     if args.checks is not None:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     grid = SweepGrid(max_size=args.max_size, max_k=args.max_k, max_s=args.max_s,
                      checks=checks, jobs=args.jobs)
-    counts, text = Counter(), args.format == "text"
+    counts = Counter()
     with contextlib.closing(sweep(grid)) as reports:  # a pool ends before main returns
-        for report in reports:
-            counts[status := _status(report)] += 1
-            sys.stdout.write(table_line(report, status) if text else json_line(report))
-    if text:
-        sys.stdout.write(summary_line(counts))
+        for line in report_lines(reports, args.format, counts):
+            sys.stdout.write(line)
     return 1 if counts["FAIL"] else 0
 
 

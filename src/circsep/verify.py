@@ -14,8 +14,8 @@ Its failures are expected and do not count against the overall verdict.
 Every evaluator takes a point's parameters as keywords, and every point is
 evaluated by itself, so points may run in any order and in any process: the
 job count changes only where they run, never the output.  ``sweep`` yields
-each report in canonical grid order as soon as it is built, so a reader can
-write its line (``table_line``, ``json_line``) at once and end the table with
+each report in canonical grid order as soon as it is built, so
+``report_lines`` can give its line at once and end a table with
 ``summary_line``.  The pool's module is imported only when a pool runs.
 """
 
@@ -342,6 +342,7 @@ class SweepGrid(_Record):
                       max_s=max_s, jobs=jobs)
         if isinstance(checks, str):
             raise ValueError(f"checks takes check names, not a string: {checks!r}")
+        checks = tuple(checks)  # read once: an iterator has no second pass
         if not checks:
             raise ValueError("at least one check is required")
         unknown = [c for c in checks if c not in CHECKS]
@@ -415,11 +416,20 @@ def summary_line(counts: Counter) -> str:
             f"{counts['XFAIL']} expected failures, {counts['SKIP']} skipped)\n")
 
 
+def report_lines(reports, fmt: str, counts: Counter):
+    """Each report's ``fmt`` line (text or json) as it comes, its ``_status``
+    counted in ``counts``; a text table ends with ``summary_line``."""
+    for report in reports:
+        counts[status := _status(report)] += 1
+        yield table_line(report, status) if fmt == "text" else json_line(report)
+    if fmt == "text":
+        yield summary_line(counts)
+
+
 def to_json_lines(reports) -> str:
-    return "".join(map(json_line, reports))
+    return "".join(report_lines(reports, "json", Counter()))
 
 
 def render_table(reports) -> str:
     """Fixed-layout human-readable table with a trailing summary line."""
-    return ("".join(table_line(r, _status(r)) for r in reports)
-            + summary_line(Counter(map(_status, reports))))
+    return "".join(report_lines(reports, "text", Counter()))

@@ -313,17 +313,45 @@ def test_cross_circle_pairs_unconstrained():
 
 
 def test_separation_matches_pairwise_definition():
-    # the short-circuiting check agrees with the direct all-pairs definition
-    system = CircleSystem((6, 5))
-    ground = list(system.elements())
-    for k in (2, 3):
-        for combo in itertools.combinations(ground, k):
-            sel = SelectionSet(combo)
-            for s in (1, 2):
-                expect = all(
-                    (d := circular_distance(a, b, system)) is None or d >= s + 1
-                    for a, b in itertools.combinations(combo, 2))
-                assert is_s_separated(sel, system, s) == expect
+    # the gap rule agrees with the all-pairs definition on every subset of up
+    # to 5 elements, a lone element on a circle no larger than s among them
+    systems = [(n,) for n in range(1, 11)]
+    systems += [(n1, n2) for n1 in range(1, 10) for n2 in range(1, 11 - n1)]
+    for sizes in systems:
+        system = CircleSystem(sizes)
+        ground = list(system.elements())
+        for k in range(6):
+            for combo in itertools.combinations(ground, k):
+                sel = SelectionSet(combo)
+                distances = [circular_distance(a, b, system)
+                             for a, b in itertools.combinations(combo, 2)]
+                for s in range(6):
+                    expect = all(d is None or d >= s + 1 for d in distances)
+                    assert is_s_separated(sel, system, s) == expect, (sizes, str(sel), s)
+
+
+def test_zag_refuses_exactly_the_flattenings_that_are_not_separated():
+    # zag's precondition against the all-pairs definition on the combined
+    # circle, for every selection through 1@1 of up to 4 elements
+    for n1, n2, s in itertools.product(range(1, 12), range(1, 12), (1, 2)):
+        if n1 + n2 > 12:
+            continue
+        system, combined = CircleSystem((n1, n2)), CircleSystem((n1 + n2,))
+        rest = list(system.elements())[1:]
+        for k in range(1, 5):
+            if n1 < s * k + 1 or n2 < max(1, s * k):
+                continue  # outside the domain
+            for others in itertools.combinations(rest, k - 1):
+                sel = SelectionSet((Element(1, 1), *others))
+                flat = [Element(flatten(e, system), 1) for e in sel]
+                separated = all(circular_distance(a, b, combined) >= s + 1
+                                for a, b in itertools.combinations(flat, 2))
+                try:
+                    zag(sel, system, s)
+                except DomainError as exc:
+                    assert not separated and "flattening" in str(exc), (str(sel), s)
+                else:
+                    assert separated, (n1, n2, str(sel), s)
 
 
 def test_separation_monotone_in_subsets():

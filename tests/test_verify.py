@@ -91,6 +91,15 @@ def test_grid_validation():
         SweepGrid(checks="circle")  # would otherwise be read letter by letter
 
 
+def test_grid_reads_an_iterator_of_checks_once():
+    # the name check must not use up the only pass over the checks
+    grid = SweepGrid(checks=(c for c in ["circle"]))
+    assert grid.checks == ("circle",)
+    assert verify_all(grid)
+    with pytest.raises(ValueError, match="at least one check"):
+        SweepGrid(checks=iter([]))
+
+
 def test_grid_normalizes_check_order():
     grid = SweepGrid(checks=("bijection", "circle"))
     assert grid.checks == ("circle", "bijection")
@@ -339,6 +348,17 @@ def test_render_table(small_sweep):
     assert lines[-1].startswith("result: PASS")
     assert any(line.startswith("XFAIL") for line in lines)
     assert any(line.startswith("SKIP") for line in lines)
+
+
+def test_render_table_reads_a_stream_once():
+    # one pass writes the rows and the verdict: a failing row ends in FAIL
+    reports = [IdentityReport(check="circle", params={}, left="1", right="1",
+                              passed=True),
+               IdentityReport(check="circle", params={}, left="1", right="2")]
+    table = render_table(r for r in reports)
+    assert table == render_table(reports)
+    assert table.splitlines()[-1].startswith("result: FAIL (2 points: 1 passed, 1 failed")
+    assert to_json_lines(r for r in reports) == to_json_lines(reports)
 
 
 # ---------------------------------------------------------------------------
