@@ -255,7 +255,8 @@ def _check_bounds(op: str, s: int, k: int, sizes=(), fixed: int | None = None,
     number, not the size of a checked ``CircleSystem``), raises ValueError
     before any of these.
     """
-    _require_ints(op, s=s, k=k)
+    if type(s) is not int or type(k) is not int:
+        _require_ints(op, s=s, k=k)
     if names:
         _require_ints(op, **dict(zip(names, sizes)))
     if s < 0:

@@ -28,6 +28,7 @@ k of the product, O(p*min(k, N)^2) for p circles.
 from __future__ import annotations
 
 import math
+import operator
 
 from .core import (CircleSystem, Element, InvariantViolation, _check_bounds,
                    _require_ints)
@@ -122,7 +123,7 @@ def _product(sizes, s: int, k: int, fixed: int | None = None) -> int:
     product, *factors = [[_count(n, s, j, c == fixed) for j in range(k + 1)]
                          for c, n in enumerate(sizes, 1)]
     for factor in factors:
-        product = [sum(product[i] * factor[j - i] for i in range(j + 1))
+        product = [sum(map(operator.mul, product[:j + 1], factor[j::-1]))
                    for j in range(k + 1)]
     return product[k]
 

@@ -71,11 +71,13 @@ def enumerate_naive(request: EnumerationRequest):
 def _picks(size, gap: int, after: list[int], last: tuple[int, int],
            first: int, rem: int):
     """Candidates ``((circle, position), first)`` for the pick after ``last``
-    at every depth but the last, in canonical order; ``first`` is the first
-    pick on the candidate's circle, and ``size[c]`` is circle c's size
-    (``size[0] = 0``: the empty prefix's last pick is ``(0, 0)``).
-    No candidate leaves too little room for the ``rem`` picks still to follow:
-    the circles after ``c`` hold at most ``after[c]``, the rest must fit on ``c``.
+    at the inner depths, where ``rem >= 2`` picks still follow, in canonical
+    order; ``first`` is the first pick on the candidate's circle, and
+    ``size[c]`` is circle c's size (``size[0] = 0``: the empty prefix's last
+    pick is ``(0, 0)``).  No candidate leaves too little room for the ``rem``
+    picks still to follow: the circles after ``c`` hold at most ``after[c]``,
+    the rest must fit on ``c``.  The last open depth (``rem = 1``) opens no
+    generator: ``selection_runs`` drains it from the same ranges.
     """
     c0, q0 = last
     n = size[c0]
@@ -97,10 +99,11 @@ def selection_runs(request: EnumerationRequest):
     tuple of runs ``(c, lo, hi)``, and ``prefix + ((c, q),)`` is a selection
     for each run in order and each ``lo <= q <= hi``, so expanding the items
     in order gives ``selection_keys``.  At k = 0 there is no item (the empty
-    selection has no last pick); at k = 1 there is one, the empty prefix's.
+    selection has no last pick); at k = 1 there is one, the empty prefix's,
+    with every circle whole (or ``lone``, below).
 
-    A depth-first search on an explicit stack, one entry per open depth but
-    the last: its candidate iterator, the picks before it, and ``fixed``
+    A depth-first search on an explicit stack, one entry per open depth, the
+    picks but the last: its candidates, the picks before it, and ``fixed``
     until one of those is it, so a pop restores nothing.  Depth d takes the
     d-th element of the selection, always after the one before it, so
     selections come out in lexicographic order.  For positions increasing on
@@ -108,16 +111,25 @@ def selection_runs(request: EnumerationRequest):
     and that none passes ``first + n - (s + 1)``, the wrap-around bound back
     to the circle's first pick; every other pair is then farther apart.  A
     circle of size n holds at most ``max(1, n // (s+1))`` picks.  Until
-    ``fixed`` is taken, the first candidate past it ends its depth.  The last
-    depth is not searched: the entry whose candidates complete a prefix of
-    k - 1 picks is drained in one loop.  A candidate's runs are the one on
+    ``fixed`` is taken, the first candidate past it ends its depth.
+
+    The last depth is not searched: given k - 1 picks, the last positions
+    form one interval per circle.  Inner depths draw their candidates from
+    ``_picks``; the last open one opens no generator.  Its entry holds the
+    pick it extends and the first pick on that pick's circle, and one loop
+    drains it from ``range``s: the rest of that circle up to the wrap-around
+    bound, then each later circle whole, except that the last circle must
+    hold the last pick too, so its candidates stop s + 1 short, and it has
+    none when it cannot hold two picks.  A candidate's runs are the one on
     its own circle c, from s + 1 past it to the wrap-around bound, when that
     is not empty, then ``later[c]``, the circles after c whole: one tuple,
     built when a prefix first ends on c and shared by every prefix after it
     that does, so it costs no more than the runs it gives.  With ``fixed``
-    still pending the runs are ``lone``, the fixed pair's one-position run,
-    built once.  At k = 1 the drained entry is the empty prefix's, its one
-    candidate the pick ``(0, 0)`` on no circle.
+    still pending each candidate is compared with it: equal gives the runs
+    above, past it ends the drain, and before it gives ``lone``, the fixed
+    pair's one-position run, built once, when that pair can follow the
+    candidate.  At k = 2 the drained entry is the root, whose pick ``(0, 0)``
+    is on no circle.
     """
     sizes, s, k = request.system.sizes, request.params.s, request.params.k
     fixed = request.fixed.key if request.fixed is not None else None
@@ -131,35 +143,49 @@ def selection_runs(request: EnumerationRequest):
     whole = tuple((c, 1, n) for c, n in enumerate(sizes, 1))  # whole[c - 1]: circle c
     later = [None] * len(size)  # later[c]: whole[c:], once a prefix needs it
     lone = ((*fixed, fixed[1]),) if fixed is not None else None
-    root = _picks(size, gap, after, (0, 0), 0, k - 1) if k > 1 else [((0, 0), 0)]
-    stack = [(iter(root), (), fixed)]
+    if k == 1:
+        yield (), whole if fixed is None else lone  # the empty prefix's item
+        return
+    root = ((0, 0), 0) if k == 2 else _picks(size, gap, after, (0, 0), 0, k - 1)
+    stack = [(root, (), fixed)]
     while stack:
-        candidates, prefix, pending = stack[-1]
-        if len(prefix) >= k - 2:  # each candidate completes a prefix
+        top, prefix, pending = stack[-1]
+        if len(prefix) == k - 2:  # the last open depth: drain it from ranges
             stack.pop()
-            for pair, first in candidates:
-                c0, q0 = pair
-                path = prefix + (pair,) if c0 else prefix  # (0, 0): no pick
-                n = size[c0]
-                hi = min(n, first + n - gap)
-                if pending is None or pair == pending:
-                    runs = later[c0]
-                    if runs is None:
-                        runs = later[c0] = whole[c0:]
-                    yield path, (((c0, q0 + gap, hi),) + runs
-                                 if q0 + gap <= hi else runs)
-                elif pair > pending:
-                    break
-                elif pending[0] > c0 or q0 + gap <= pending[1] <= hi:
-                    yield path, lone
+            (c0, q0), first = top
+            for c in range(c0, len(size)):
+                n = size[c]
+                need = gap if after[c] == 0 else 0  # room the last pick needs
+                if c == c0:
+                    wrap, cut, lo = min(n, first + n - gap), 0, q0 + gap
+                elif need and n < 2 * gap:
+                    break  # the last circle, too small for two picks
+                else:  # a candidate here is its circle's first pick
+                    wrap, cut, lo = n, gap, 1
+                runs = later[c]  # unused before a pending pair's circle
+                if runs is None and (pending is None or pending[0] == c):
+                    runs = later[c] = whole[c:]
+                for q in range(lo, wrap - need + 1):
+                    end = q + n - gap if q < cut else wrap  # its own run's end
+                    if pending is None or (c, q) == pending:
+                        yield prefix + ((c, q),), (((c, q + gap, end),) + runs
+                                                   if q + gap <= end else runs)
+                    elif (c, q) > pending:
+                        break
+                    elif pending[0] > c or q + gap <= pending[1] <= end:
+                        yield prefix + ((c, q),), lone
+                if pending is not None and pending[0] == c:
+                    break  # every later candidate is past the pending pair
             continue
-        pick = next(candidates, None)
+        pick = next(top, None)
         if pick is None or (pending is not None and pick[0] > pending):
             stack.pop()
             continue
         pair, first = pick
-        stack.append((_picks(size, gap, after, pair, first, k - len(prefix) - 2),
-                      prefix + (pair,), None if pair == pending else pending))
+        path = prefix + (pair,)
+        stack.append((pick if len(path) == k - 2
+                      else _picks(size, gap, after, pair, first, k - len(path) - 1),
+                      path, None if pair == pending else pending))
 
 
 def selection_keys(request: EnumerationRequest):

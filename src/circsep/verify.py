@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter
+from collections import Counter, deque
 
 from .bijection import check_bijectivity
 from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
@@ -366,18 +366,32 @@ def evaluate_point(point: tuple) -> IdentityReport:
                           counterexample="".join(counterexample))
 
 
+def _batch(points: list) -> list[IdentityReport]:
+    """One pool task: the reports of ``CHUNK`` points or fewer, in order."""
+    return list(map(evaluate_point, points))
+
+
 def sweep(grid: SweepGrid):
     """Yield the grid's reports in canonical order as they are evaluated: here,
     or by a pool of ``jobs`` workers (at most one per CPU this process may run
-    on, as all start at once), which reads points lazily; ``close`` ends it."""
+    on, as all start at once), which reads points a batch at a time, with at
+    most 2 * jobs batches in flight, so a reader that stalls stalls the grid
+    and no report piles up; ``close`` ends it."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     jobs = min(grid.jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    points = _points(grid)
     if jobs == 1:
-        yield from map(evaluate_point, _points(grid))
+        yield from map(evaluate_point, points)
         return
     from multiprocessing import Pool
     with Pool(jobs) as pool:
-        yield from pool.imap(evaluate_point, _points(grid), CHUNK)
+        inflight = deque()
+        for batch in iter(lambda: list(itertools.islice(points, CHUNK)), []):
+            inflight.append(pool.apply_async(_batch, (batch,)))
+            if len(inflight) == 2 * jobs:
+                yield from inflight.popleft().get()
+        while inflight:
+            yield from inflight.popleft().get()
 
 
 def verify_all(grid: SweepGrid) -> list[IdentityReport]:

@@ -4,12 +4,14 @@ import pickle
 import pytest
 
 from circsep.bijection import (BijectivityReport, SwitchStep, ZigZagTrace,
-                               backward, zag, zig)
+                               backward, check_bijectivity, zag, zig)
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, _Record, circular_distance, flatten,
                           format_flat_selection, is_s_separated, parse_element,
                           parse_flat_selection, parse_selection, unflatten)
-from circsep.counting import binomial, count_circle, count_system_fixed
+from circsep.counting import (binomial, count_circle, count_circle_fixed,
+                              count_system, count_system_convolution,
+                              count_system_fixed, count_system_fixed_recursive)
 from circsep.enumeration import EnumerationRequest
 from circsep.verify import IdentityReport, SweepGrid
 
@@ -108,6 +110,33 @@ def test_a_bool_is_not_an_integer_argument(op, build):
     # str(Element(True, 1)) would be "True@1", a label parse_element cannot read
     with pytest.raises(ValueError, match=f"^{op} requires an integer"):
         build()
+
+
+SYS87 = CircleSystem((8, 7))
+NON_INTEGERS = ((True, 2), (1.0, 2), (1, True), (1, 2.0))
+
+
+@pytest.mark.parametrize("op, run, values", [
+    ("count_circle_fixed", lambda s, k: count_circle_fixed(8, s, k), NON_INTEGERS),
+    ("count_system", lambda s, k: count_system(SYS87, s, k), NON_INTEGERS),
+    ("count_system_fixed",
+     lambda s, k: count_system_fixed(SYS87, s, k, Element(1, 1)), NON_INTEGERS),
+    ("count_system_fixed_recursive",
+     lambda s, k: count_system_fixed_recursive(SYS87, s, k), NON_INTEGERS),
+    ("count_system_convolution",
+     lambda s, k: count_system_convolution(SYS87, s, k), NON_INTEGERS),
+    ("check_bijectivity", lambda s, k: check_bijectivity(SYS87, s, k), NON_INTEGERS),
+    # zig and zag take k from the selection: only s can be refused
+    ("zig", lambda s, k: zig(parse_selection("1@1,4@2"), SYS87, s), NON_INTEGERS[:2]),
+    ("zag", lambda s, k: zag(parse_selection("1@1,4@2"), SYS87, s), NON_INTEGERS[:2]),
+])
+def test_every_bound_check_refuses_a_bool_or_a_float(op, run, values):
+    # the closed forms' bound check hands s and k to _require_ints only when
+    # one is not an int; the refusal and its words are still that rule's
+    for s, k in values:
+        with pytest.raises(ValueError, match=f"^{op} requires an integer") as info:
+            run(s, k)
+        assert not isinstance(info.value, DomainError)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import comb
 
@@ -352,6 +353,43 @@ def test_product_counts_every_spread(spread):
     for circle in range(1, len(sizes) + 1):
         assert (_product(sizes, s, k, fixed=circle)
                 == oracle(sizes, s, k, Element(1, circle))), circle
+
+
+@functools.lru_cache(maxsize=None)
+def word_rows(s):
+    """``cyclic_words`` for circles of up to 30 positions and up to 20 ones."""
+    return cyclic_words(s, 30, 20)
+
+
+def schoolbook(sizes, s, k, fixed=None):
+    """Coefficient k of the product of the circles' ``cyclic_words`` rows
+    (circle ``fixed`` counted through its position 1), one term at a time."""
+    free, through = word_rows(s)
+    poly = [1] + [0] * k
+    for c, n in enumerate(sizes, 1):
+        row = [(through if c == fixed else free)[n, j] for j in range(k + 1)]
+        poly = [sum(poly[i] * row[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    return poly[k]
+
+
+@st.composite
+def wide_spreads(draw):
+    """Up to 6 circles of up to 30 positions, s <= 4, k <= 20 (the benchmark's
+    convolution counts reach 11 circles and k = 9), and perhaps a fixed circle."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    fixed = draw(st.none() | st.integers(1, len(sizes)))
+    return sizes, draw(st.integers(0, 4)), draw(st.integers(0, 20)), fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_spreads())
+@example(([30] * 6, 4, 20, None))    # the largest spread drawn
+@example(([30] * 6, 0, 20, 6))       # ... with no separation, through the last
+@example(([1, 1, 1], 2, 3, None))    # k = N on circles of one position
+@example(([9, 4], 1, 20, 1))         # k past N
+def test_product_matches_a_schoolbook_convolution(spread):
+    sizes, s, k, fixed = spread
+    assert _product(sizes, s, k, fixed) == schoolbook(sizes, s, k, fixed)
 
 
 def test_single_circle_forms_make_one_binomial_call(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from circsep import enumeration
 from circsep.core import (CircleSystem, DomainError, Element, SelectionSet,
                           SeparationParams, is_s_separated)
 from circsep.counting import (count_circle, count_circle_fixed, count_system,
@@ -288,17 +289,70 @@ def test_runs_of_one_prefix_come_out_together(req):
             assert 1 <= lo <= hi <= sizes[c - 1]
 
 
+@st.composite
+def searches(draw):
+    """Up to 5 circles of 1..9 positions, s <= 3, k <= 6, and no fixed element
+    or any one; at most 20,000 k-subsets of the ground set, for the naive
+    oracle's sake."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    k = draw(st.integers(0, 6))
+    assume(comb(sum(sizes), k) <= 20_000)
+    fixed = draw(st.none() | st.sampled_from(list(CircleSystem(tuple(sizes)).elements())))
+    return request(sizes, draw(st.integers(0, 3)), k, fixed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches())
+@example(request([9, 9, 9, 9, 9], 0, 2))                 # k = 2: the root is drained
+@example(request([9, 1, 9, 1, 9], 1, 3, Element(9, 5)))  # pending to the last position
+@example(request([2, 9, 2, 9, 2], 3, 4))                 # circles too small for two
+@example(request([1, 1, 1, 1, 1], 0, 5, Element(1, 3)))  # every circle holds one pick
+def test_search_matches_naive(req):
+    # the last open depth, drained from ranges, gives naive's selections in
+    # its order, the streamed count their number, and no empty run
+    keys = [sel.key for sel in enumerate_naive(req)]
+    assert list(selection_keys(req)) == keys
+    assert count_by_enumeration(req) == len(keys)
+    for _, runs in selection_runs(req):
+        assert runs and all(lo <= hi for _, lo, hi in runs)
+
+
+def test_no_picks_generator_serves_the_last_open_depth(monkeypatch):
+    # _picks serves only the inner depths, where at least two picks follow
+    # its candidate; the last open depth is drained from ranges
+    rems = Counter()
+    picks = enumeration._picks
+
+    def recorded(size, gap, after, last, first, rem):
+        rems[rem] += 1
+        return picks(size, gap, after, last, first, rem)
+
+    monkeypatch.setattr(enumeration, "_picks", recorded)
+    for total in range(1, 11):
+        for sizes in partitions(total):
+            fixes = [None, Element(1, 1), Element(sizes[-1], len(sizes))]
+            for s in range(4):
+                for k in range(7):
+                    for fixed in fixes:
+                        count_by_enumeration(request(sizes, s, k, fixed))
+    assert rems and min(rems) >= 2
+    assert set(rems) == set(range(2, 6))  # k = 3..6 open 1..4 inner depths
+
+
 def test_many_circles_cost_memory_in_proportion_to_the_runs():
     # at k = 1 the one item holds every circle whole: the later circles' runs
-    # are built for the circles prefixes end on, not for every circle up front
-    req = request([5] * 2000, 1, 1)
-    tracemalloc.start()
-    try:
-        assert count_by_enumeration(req) == 10_000
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # are built for the circles prefixes end on, not for every circle up front;
+    # nor for the circles before a pending fixed pair, where every candidate
+    # gets the fixed pair's lone run
+    for req, count in ((request([5] * 2000, 1, 1), 10_000),
+                       (request([2] * 3000, 0, 2, Element(2, 3000)), 5_999)):
+        tracemalloc.start()
+        try:
+            assert count_by_enumeration(req) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
@@ -389,9 +390,18 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
     # this test, whatever job count it asks for
     started = []
 
+    class Done:
+        def __init__(self, pool, value):
+            self.pool, self.value = pool, value
+
+        def get(self):
+            self.pool.inflight -= 1
+            return self.value
+
     class InlinePool:
         def __init__(self, processes):
             started.append(processes)
+            self.processes, self.inflight = processes, 0
 
         def __enter__(self):
             return self
@@ -399,10 +409,14 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, items, chunksize):
-            assert not isinstance(items, (list, tuple))  # the points are read lazily
-            started.append(chunksize)
-            return map(fn, items)
+        def apply_async(self, fn, args):
+            (batch,) = args  # the points are read a batch at a time
+            if len(started) == 1:
+                started.append(len(batch))
+            assert 0 < len(batch) <= verify.CHUNK
+            self.inflight += 1
+            assert self.inflight <= 2 * self.processes
+            return Done(self, fn(batch))
 
     # sweep imports the name from multiprocessing when a pool starts
     monkeypatch.setattr("multiprocessing.Pool", InlinePool)
@@ -450,6 +464,31 @@ def test_pool_reads_the_grid_as_it_goes_and_stops_on_close(monkeypatch):
     assert pulled < 114_435 // 4
     assert first == evaluate_point(next(points(grid)))
     reports.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_stalled_reader_stalls_the_pool(monkeypatch):
+    # the pool keeps at most 2 * jobs batches of CHUNK points in flight, so a
+    # reader that stops after one report leaves the rest of the grid unread
+    # and no report piles up behind it
+    pulled = 0
+    points = verify._points
+
+    def counted(grid):
+        nonlocal pulled
+        for point in points(grid):
+            pulled += 1
+            yield point
+
+    monkeypatch.setattr(verify, "_points", counted)
+    jobs = 2
+    reports = sweep(SweepGrid(max_size=24, max_k=3, max_s=2, jobs=jobs))
+    try:
+        next(reports)
+        time.sleep(1)
+        assert pulled <= (2 * jobs + 1) * verify.CHUNK
+    finally:
+        reports.close()
     assert multiprocessing.active_children() == []
 
 
