@@ -371,6 +371,25 @@ def _batch(points: list) -> list[IdentityReport]:
     return list(map(evaluate_point, points))
 
 
+def _orphan_exits() -> None:
+    """Pool worker start-up: a worker whose parent is gone exits quietly, at
+    its next write to it (SIGPIPE's default, where there is one), or within
+    0.1 s if it waits on a lock that such a worker died holding."""
+    import signal
+    import threading
+    import time
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def sweep(grid: SweepGrid):
     """Yield the grid's reports in canonical order as they are evaluated: here,
     or by a pool of ``jobs`` workers (at most one per CPU this process may run
@@ -384,7 +403,7 @@ def sweep(grid: SweepGrid):
         yield from map(evaluate_point, points)
         return
     from multiprocessing import Pool
-    with Pool(jobs) as pool:
+    with Pool(jobs, _orphan_exits) as pool:
         inflight = deque()
         for batch in iter(lambda: list(itertools.islice(points, CHUNK)), []):
             inflight.append(pool.apply_async(_batch, (batch,)))

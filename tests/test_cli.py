@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -563,6 +564,42 @@ def test_closed_stdout_stops_the_verify_pool_before_main_returns():
     assert (rc, err.getvalue()) == (141, "")
     assert time.monotonic() - started < 30
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_verify_workers_die_quietly_with_their_parent():
+    # the parent killed mid-grid: a worker dies at its next write to it, with
+    # no BrokenPipeError traceback, and stderr ends once none is left
+    argv = [sys.executable, "-m", "circsep", "verify", "--max-size", "24",
+            "--jobs", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            time.sleep(1.5)
+            proc.kill()
+            _, err = proc.communicate(timeout=5)
+            deadline = time.monotonic() + 5
+            while True:  # until no process of its session, zombies aside, is left
+                left = [pid for pid in os.listdir("/proc") if pid.isdigit()
+                        and _session_member(pid, proc.pid)]
+                if not left or time.monotonic() > deadline:
+                    break
+                time.sleep(0.1)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert "Traceback" not in err
+    assert left == []
+
+
+def _session_member(pid: str, sid: int) -> bool:
+    """Whether process ``pid`` is alive in session ``sid`` (``/proc/PID/stat``)."""
+    try:
+        stat = Path("/proc", pid, "stat").read_text()
+    except OSError:  # gone
+        return False
+    state, _, _, session = stat.rpartition(")")[2].split()[:4]
+    return state != "Z" and int(session) == sid
 
 
 # ---------------------------------------------------------------------------

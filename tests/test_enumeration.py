@@ -307,6 +307,10 @@ def searches(draw):
 @example(request([9, 1, 9, 1, 9], 1, 3, Element(9, 5)))  # pending to the last position
 @example(request([2, 9, 2, 9, 2], 3, 4))                 # circles too small for two
 @example(request([1, 1, 1, 1, 1], 0, 5, Element(1, 3)))  # every circle holds one pick
+@example(request([5, 3], 1, 3))                 # no candidate after 1@1 has an own run
+@example(request([5, 6], 1, 3, Element(3, 2)))  # pending on a later circle: pick k - 1 or k
+@example(request([5, 6], 1, 3, Element(6, 2)))  # ... where only pick k can take it
+@example(request([6, 3], 1, 3, Element(2, 2)))  # ... on a last circle too small for two
 def test_search_matches_naive(req):
     # the last open depth, drained from ranges, gives naive's selections in
     # its order, the streamed count their number, and no empty run
@@ -315,6 +319,24 @@ def test_search_matches_naive(req):
     assert count_by_enumeration(req) == len(keys)
     for _, runs in selection_runs(req):
         assert runs and all(lo <= hi for _, lo, hi in runs)
+
+
+def test_count_reads_no_item(monkeypatch):
+    # the count stops the search at prefixes of k - 2 picks and counts the
+    # last two picks by arithmetic: with no item to read, it still gives
+    # naive's number, free and through every element
+    def no_items(request):
+        raise AssertionError("count_by_enumeration read selection_runs")
+
+    monkeypatch.setattr(enumeration, "selection_runs", no_items)
+    for total in range(1, 9):
+        for sizes in partitions(total):
+            for s in range(4):
+                for k in range(6):
+                    for fixed in (None, *CircleSystem(sizes).elements()):
+                        req = request(sizes, s, k, fixed)
+                        assert count_by_enumeration(req) == len(list(enumerate_naive(req))), \
+                            (sizes, s, k, fixed and str(fixed))
 
 
 def test_no_picks_generator_serves_the_last_open_depth(monkeypatch):

@@ -60,7 +60,7 @@ def _run(env, argv, monkeypatch):
 
 def test_manifest_rows_are_well_formed():
     rows = [row for rows in OUTPUTS.values() for row in rows]
-    assert len(OUTPUTS) == 48 and len(rows) == 62
+    assert len(OUTPUTS) == 52 and len(rows) == 66
     for code, out, err, env, argv in rows:
         assert code in {0, 1, 2, 3, 4} and argv
         assert all(re.fullmatch(r"[0-9a-f]{64}|-", d) for d in (out, err))

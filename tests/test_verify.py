@@ -399,7 +399,8 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
             return self.value
 
     class InlinePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer):
+            assert initializer is verify._orphan_exits  # run by real workers only
             started.append(processes)
             self.processes, self.inflight = processes, 0
 
