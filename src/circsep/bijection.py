@@ -114,26 +114,27 @@ def _check_common(selection: SelectionSet, system: CircleSystem, s: int,
 
 
 def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
-                  s: int, direction: str) -> tuple[SwitchStep, ...]:
+                  s: int, direction: str) -> list[tuple[int, ...]]:
     """Run one switch chain in place on a set of ``(circle, position)`` pairs,
-    the search's own keys, and return its steps.  ``zig`` opens its first
-    window on circle 2, ``zag`` on circle 1; the circles swap after every
-    switch.  The input is not validated here: callers pass selections that
-    meet zig's or zag's preconditions."""
+    the search's own keys, and return its steps, ``SwitchStep``'s fields
+    after the index as plain tuples.  ``zig`` opens its first window on
+    circle 2, ``zag`` on circle 1; the circles swap after every switch.  The
+    input is not validated here: callers pass selections that meet zig's or
+    zag's preconditions.  Every switch checks every structural guarantee,
+    against a copy of the input taken at the first switch."""
     window_circle, other_circle = (2, 1) if direction == "zig" else (1, 2)
-    original = set(selected)
-    removed_pairs: set[tuple[int, int]] = set()
     # phantom seeds one past the top of each circle
     last_added = sizes[window_circle - 1] + 1
     last_removed = sizes[other_circle - 1] + 1
-    k = len(original)
-    steps: list[SwitchStep] = []
+    steps: list[tuple[int, ...]] = []
     while True:
         hi = last_added - 1
         lo = max(1, last_added - s)
         hits = [q for q in range(lo, hi + 1) if (window_circle, q) in selected]
         if not hits:
-            break
+            return steps
+        if not steps:
+            original, removed_pairs, k = set(selected), set(), len(selected)
         if len(hits) > 1:
             raise InvariantViolation(
                 f"{direction}: window {lo}..{hi} on circle {window_circle} "
@@ -143,6 +144,7 @@ def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
         added = last_removed - gap
         gone, new = (window_circle, removed), (other_circle, added)
         # structural guarantees of the switch chain; violations are bugs
+        assert gap >= 1 and lo <= removed <= hi
         if gap > s:
             raise InvariantViolation(
                 f"{direction}: switch gap {gap} exceeds s={s}")
@@ -165,16 +167,18 @@ def _switch_chain(selected: set[tuple[int, int]], sizes: tuple[int, int],
         selected.remove(gone)
         selected.add(new)
         removed_pairs.add(gone)
-        steps.append(SwitchStep(index=len(steps), window_circle=window_circle,
-                                window_lo=lo, window_hi=hi,
-                                removed=removed, gap=gap, added=added))
+        steps.append((window_circle, lo, hi, removed, gap, added))
         if len(steps) > k - 1:
             raise InvariantViolation(
                 f"{direction}: executed {len(steps)} switches on a size-{k} "
                 "selection, expected at most k-1")
         last_removed, last_added = removed, added
         window_circle, other_circle = other_circle, window_circle
-    return tuple(steps)
+
+
+def _trace(direction: str, steps) -> ZigZagTrace:
+    return ZigZagTrace(direction, tuple(SwitchStep(i, *step)
+                                        for i, step in enumerate(steps)))
 
 
 def zig(selection: SelectionSet, system: CircleSystem, s: int
@@ -189,7 +193,7 @@ def zig(selection: SelectionSet, system: CircleSystem, s: int
     if not is_s_separated(selection, system, s):
         raise DomainError("zig requires an s-separated input selection")
     steps = _switch_chain(selected, system.sizes, s, "zig")
-    return _selection(sorted(selected)), ZigZagTrace("zig", steps)
+    return _selection(sorted(selected)), _trace("zig", steps)
 
 
 def zag(selection: SelectionSet, system: CircleSystem, s: int
@@ -207,7 +211,7 @@ def zag(selection: SelectionSet, system: CircleSystem, s: int
             "zag requires a selection whose flattening is s-separated on the "
             "combined circle")
     steps = _switch_chain(selected, system.sizes, s, "zag")
-    return _selection(sorted(selected)), ZigZagTrace("zag", steps)
+    return _selection(sorted(selected)), _trace("zag", steps)
 
 
 def forward(selection: SelectionSet, system: CircleSystem, s: int) -> tuple[int, ...]:
@@ -266,7 +270,10 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
     its search keys, without zig's and zag's input checks: a domain selection
     is s-separated and holds 1@1 by construction, and an image is pulled
     back only after it is found in the codomain, which is exactly zag's
-    precondition.  The structural checks inside the chain still run.  The
+    precondition.  Every check inside the chain still runs at every switch
+    (one window pick, the gap, the removal from the input, once and never
+    of 1@1, the insertion on its circle and free, at most k - 1 switches),
+    and its steps are compared as plain tuples, with no record built.  The
     round trip ``forward(backward(y)) == y`` needs no pass of its own: every
     codomain set y that some domain selection x maps to has ``backward(y) =
     x`` checked, so ``forward(backward(y)) = forward(x) = y``, and a set that
@@ -311,11 +318,10 @@ def check_bijectivity(system: CircleSystem, s: int, k: int) -> BijectivityReport
             failures.append(f"switch counts differ on {_selection(pairs)}: "
                             f"zig {len(zsteps)}, zag {len(gsteps)}")
         else:
-            for zstep, gstep in zip(zsteps, gsteps):
-                if (gstep.removed, gstep.gap, gstep.added) != (
-                        zstep.added, zstep.gap, zstep.removed):
+            for i, (zstep, gstep) in enumerate(zip(zsteps, gsteps)):
+                if gstep[3:] != zstep[5:2:-1]:  # removed, gap, added
                     failures.append(f"steps not mirrored on {_selection(pairs)} "
-                                    f"at switch {zstep.index}")
+                                    f"at switch {i}")
                     break
     if len(set(images)) != len(images):
         failures.append(

@@ -117,15 +117,17 @@ def count_system(system: CircleSystem, s: int, k: int) -> int:
 def _product(sizes, s: int, k: int, fixed: int | None = None) -> int:
     """Coefficient k of the product of the circles' polynomials, coefficient j
     of circle c's counting the ways to put j elements on it (through one given
-    element when c is ``fixed``): O(p*k^2), 0 past N, and no bound check."""
+    element when c is ``fixed``): O(p*k^2), 0 past N, and no bound check; the
+    partial products stop at degree k, and the last factor adds coefficient k."""
     if k > sum(sizes):
         return 0
     product, *factors = [[_count(n, s, j, c == fixed) for j in range(k + 1)]
                          for c, n in enumerate(sizes, 1)]
-    for factor in factors:
+    for factor in factors[:-1]:
         product = [sum(map(operator.mul, product[:j + 1], factor[j::-1]))
                    for j in range(k + 1)]
-    return product[k]
+    return (sum(map(operator.mul, product, reversed(factors[-1]))) if factors
+            else product[k])
 
 
 def count_system_fixed_recursive(system: CircleSystem, s: int, k: int) -> int:

@@ -11,8 +11,9 @@ circles left cannot hold the rest of k.  The last depth is not searched:
 given the first k - 1 picks, the positions that complete a selection form
 one interval per circle, so the search yields each prefix once with its runs
 of last positions.  ``count_by_enumeration`` reads no run: it stops the
-search at prefixes of k - 2 picks and counts the last two picks of each by
-arithmetic on the same ranges.  ``selection_keys`` expands the runs into one
+search at prefixes of k - 2 picks (``_open_prefixes``) and counts the last
+two picks of each by arithmetic on the same ranges; verify's per-element
+tally reads the same prefixes.  ``selection_keys`` expands the runs into one
 increasing tuple of (circle, position) pairs per selection, and
 ``enumerate_gap``, the object API, wraps each tuple in a ``SelectionSet``.
 All of them yield selections in lexicographic order of the canonical
@@ -215,6 +216,20 @@ def enumerate_gap(request: EnumerationRequest):
         yield _selection(pairs)
 
 
+def _later(size, s: int):
+    """``rest[c]``, the positions on the circles after c, and ``pairs[c]``, the
+    ways to complete a prefix whose pick k - 1 opens a circle >= c, for the
+    circles ``size[1:]``: a candidate there adds its own run and ``rest``."""
+    rest = [0] * len(size)
+    pairs = [0] * (len(size) + 1)
+    for c in range(len(size) - 1, 0, -1):
+        n = size[c]
+        rest[c - 1] = rest[c] + n
+        m = max(0, n - 2 * s - 1)  # own runs: m for the first s, then m, ..., 1
+        pairs[c] = pairs[c + 1] + s * m + m * (m + 1) // 2 + rest[c] * n
+    return rest, pairs
+
+
 def count_by_enumeration(request: EnumerationRequest) -> int:
     """Count the selections of ``request`` by search; exact for any parameters.
 
@@ -233,13 +248,7 @@ def count_by_enumeration(request: EnumerationRequest) -> int:
         return int(fixed is None) if k == 0 else 1 if fixed else sum(sizes)
     gap = s + 1
     size = (0, *sizes)
-    rest = [0] * len(size)  # rest[c]: positions on the circles after c
-    pairs = [0] * (len(size) + 1)  # pairs[c]: pick k - 1 opens a circle >= c
-    for c in range(len(sizes), 0, -1):
-        n = size[c]
-        rest[c - 1] = rest[c] + n
-        m = max(0, n - 2 * s - 1)  # own runs: m for the first s, then m, ..., 1
-        pairs[c] = pairs[c + 1] + s * m + m * (m + 1) // 2 + rest[c] * n
+    rest, pairs = _later(size, s)
     total = 0
     for ((c0, q0), first), _, pending in _open_prefixes(size, gap, k, fixed):
         n = size[c0]

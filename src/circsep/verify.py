@@ -32,7 +32,8 @@ from .core import (CircleSystem, Element, SeparationParams, _check_bounds,
 from .counting import (binomial, count_circle, count_circle_fixed, count_system,
                        count_system_convolution, count_system_fixed,
                        count_system_fixed_recursive)
-from .enumeration import EnumerationRequest, count_by_enumeration, selection_runs
+from .enumeration import (EnumerationRequest, _later, _open_prefixes,
+                          count_by_enumeration)
 
 DOCUMENTATION_CHECKS = frozenset({"fixed-sum-printed"})
 # points per pool task: chunks of 1 took a 114,435-point grid from 6.5 to 10.5 s
@@ -178,37 +179,72 @@ def _oracle_count(sizes, s, k) -> int:
         CircleSystem(tuple(sizes)), SeparationParams(s, k)))
 
 
-def _tally(request: EnumerationRequest) -> Counter:
-    """The number of selections through each (circle, position) pair, in one
-    pass over the search's items: each run ``(c, lo, hi)`` marks its ends in
-    circle c's difference row, each pick of a prefix gets the item's summed
-    run lengths, and one running sum per circle adds the rows up."""
-    rows = [[0] * (n + 2) for n in (0, *request.system.sizes)]
-    picks = [[0] * (n + 1) for n in (0, *request.system.sizes)]
-    for prefix, runs in selection_runs(request):
-        total = 0
-        for c, lo, hi in runs:
-            total += hi - lo + 1
-            row = rows[c]
-            row[lo] += 1
-            row[hi + 1] -= 1
+def _tally(sizes, s, k) -> Counter:
+    """The number of s-separated k-selections on ``sizes`` through each
+    (circle, position) pair, by arithmetic on the search's prefixes of k - 2
+    picks (``_open_prefixes``), with no item read.  A prefix's picks get its
+    number of completions; on its last pick's circle c0 the candidates for
+    pick k - 1 and for pick k get ramps in two difference rows, a constant
+    and a slope.  What opens a later circle does not depend on the prefix: a
+    circle's positions get ``rest`` and the ``max(0, n - 2s - 1)`` positions
+    apart from them per prefix before it, and one per pick k - 1 before it."""
+    if k < 2:  # nothing, or each position once
+        return Counter({(c, q): k for c, n in enumerate(sizes, 1)
+                        for q in range(1, n + 1)})
+    gap, size = s + 1, (0, *sizes)
+    rest, pairs = _later(size, s)
+    rows = [[0] * (n + 2) for n in size]  # constant terms' differences
+    slopes = [[0] * (n + 2) for n in size]  # slopes' differences
+    picks = [[0] * (n + 1) for n in size]
+    prefixes = [0] * len(size)  # prefixes[c]: prefixes ending on circle c
+    opened = [0] * len(size)  # opened[c]: their candidates on c
+    for ((c0, q0), first), prefix, _ in _open_prefixes(size, gap, k, None):
+        n = size[c0]
+        wrap, lo = min(n, first + n - gap), q0 + gap
+        m = max(0, wrap - lo + 1)  # candidates on c0
+        j = max(0, wrap - s - lo)  # ... with an own run
+        total = rest[c0] * m + j * (j + 1) // 2 + pairs[c0 + 1]
         for c, q in prefix:
             picks[c][q] += total
+        prefixes[c0] += 1
+        if not m:
+            continue
+        opened[c0] += m
+        row = rows[c0]
+        row[lo] += rest[c0]
+        row[wrap + 1] -= rest[c0]
+        if j:  # pick k - 1 on [lo, wrap - gap], pick k on [lo + gap, wrap]
+            slope = slopes[c0]
+            row[lo] += wrap - s
+            row[wrap - s] -= wrap - s
+            slope[lo] -= 1
+            slope[wrap - s] += 1
+            row[lo + gap] -= s + lo
+            row[wrap + 1] += s + lo
+            slope[lo + gap] += 1
+            slope[wrap + 1] -= 1
     buckets = Counter()
-    for c in range(1, len(rows)):
-        row, got = rows[c], picks[c]
-        for q in range(1, len(got)):
-            row[q] += row[q - 1]
-            buckets[c, q] = got[q] + row[q]
+    before = hits = 0  # prefixes before circle c, and pick k hits on it
+    for c in range(1, len(size)):
+        hits += opened[c - 1] + before * size[c - 1]
+        before += prefixes[c - 1]
+        n = size[c]
+        base = hits + before * (rest[c] + max(0, n - 2 * s - 1))
+        row, slope, got = rows[c], slopes[c], picks[c]
+        a = b = 0
+        for q in range(1, n + 1):
+            a += row[q]
+            b += slope[q]
+            buckets[c, q] = base + got[q] + a + q * b
     return buckets
 
 
 def _buckets(sizes, s, k, closed_on: dict):
     """Compare, for every element of each circle in ``closed_on`` (circle ->
     its closed form, at least one), the closed form with the number of
-    s-separated k-selections through that element (``_tally``)."""
-    buckets = _tally(EnumerationRequest(
-        CircleSystem(tuple(sizes)), SeparationParams(s, k)))
+    s-separated k-selections through that element, all tallied from one
+    search of the free selections (``_tally``)."""
+    buckets = _tally(sizes, s, k)
     for c, closed in closed_on.items():
         for a in range(1, sizes[c - 1] + 1):
             got = buckets[c, a]

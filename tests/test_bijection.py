@@ -272,9 +272,8 @@ def _move(old, new):
 
 
 def _unmirror(selected, steps):
-    first = steps[0]
-    return (SwitchStep(first.index, first.window_circle, first.window_lo,
-                       first.window_hi, first.removed, first.gap, first.added - 1),)
+    *first, added = steps[0]
+    return ((*first, added - 1),)
 
 
 # on 7,6 at s = 2, k = 2, zig takes 1@1,6@2 to 1@1,7@1 and zag takes it back

@@ -264,8 +264,10 @@ def test_runs_expand_to_the_selections(req):
         return
     assert [prefix + ((c, q),) for prefix, runs in items for c, lo, hi in runs
             for q in range(lo, hi + 1)] == keys
-    # verify's bucket tally, taken from the runs, counts what the tuples hold
-    assert _tally(req) == Counter(itertools.chain.from_iterable(keys))
+    # verify's bucket tally counts what the tuples hold; it takes free requests
+    if req.fixed is None:
+        sizes, s, k = req.system.sizes, req.params.s, req.params.k
+        assert _tally(sizes, s, k) == Counter(itertools.chain.from_iterable(keys))
 
 
 @settings(max_examples=150, deadline=None)
@@ -319,6 +321,22 @@ def test_search_matches_naive(req):
     assert count_by_enumeration(req) == len(keys)
     for _, runs in selection_runs(req):
         assert runs and all(lo <= hi for _, lo, hi in runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(searches().filter(lambda req: req.fixed is None))
+@example(request([3, 2], 1, 1))                   # k = 1: every position once
+@example(request([6, 5], 1, 2))                   # k = 2: the root alone
+@example(request([5, 4, 3], 0, 3))                # s = 0
+@example(request([4, 1, 3], 1, 3))                # one position between larger ones
+@example(request([9, 9, 3], 1, 3))                # a last circle too small for two
+@example(request([2, 2, 2, 2, 3, 3, 3, 3, 3, 5], 1, 5))
+def test_tally_matches_naive(req):
+    # verify's per-element tally, by arithmetic on the search's open prefixes,
+    # against the naive enumerator's selections, which share no code with it
+    sizes, s, k = req.system.sizes, req.params.s, req.params.k
+    assert _tally(sizes, s, k) == Counter(
+        itertools.chain.from_iterable(sel.key for sel in enumerate_naive(req)))
 
 
 def test_count_reads_no_item(monkeypatch):

@@ -208,29 +208,28 @@ SYSTEM_CHECKS = SweepGrid(max_size=7, max_k=2, max_s=2,
 
 def _wrap_walks(monkeypatch, drop_first_of=None):
     """Record the (sizes, s, k) of every search verify starts, for a bucket
-    tally or for a count; the search of ``drop_first_of`` loses its first
-    selection."""
-    selection_runs = verify.selection_runs
+    tally (its open prefixes; k < 2 is answered with none) or for a count;
+    the search of ``drop_first_of`` loses its first open prefix, or its
+    first selection when counted."""
+    open_prefixes = verify._open_prefixes
     count_by_enumeration = verify.count_by_enumeration
     walks = []
 
-    def record(request):
-        key = (request.system.sizes, request.params.s, request.params.k)
+    def record(key):
         walks.append(key)
         return key == drop_first_of
 
-    def wrapped(request):
-        runs = selection_runs(request)
-        if record(request):  # the first item's first run loses its first position
-            prefix, ((c, lo, hi), *rest) = next(runs)
-            first = ((c, lo + 1, hi),) if lo < hi else ()
-            runs = itertools.chain([(prefix, first + tuple(rest))], runs)
-        return runs
+    def wrapped(size, gap, k, fixed):
+        entries = open_prefixes(size, gap, k, fixed)
+        if record((size[1:], gap - 1, k)):
+            next(entries)
+        return entries
 
     def counted(request):
-        return count_by_enumeration(request) - record(request)
+        key = (request.system.sizes, request.params.s, request.params.k)
+        return count_by_enumeration(request) - record(key)
 
-    monkeypatch.setattr(verify, "selection_runs", wrapped)
+    monkeypatch.setattr(verify, "_open_prefixes", wrapped)
     monkeypatch.setattr(verify, "count_by_enumeration", counted)
     return walks
 
@@ -239,11 +238,14 @@ def test_every_system_point_runs_its_own_search(monkeypatch):
     walks = _wrap_walks(monkeypatch)
     first = verify_all(SYSTEM_CHECKS)
     assert overall_pass(first)
-    # one search per evaluated point of either check, for its own parameters
+    # one search per evaluated point of either check, for its own parameters,
+    # except the tally's at k = 1, which needs none
     evaluated = [r for r in first if not r.skipped]
     assert {r.check for r in evaluated} == {"system", "system-fixed"}
+    searched = [r for r in evaluated if r.check == "system" or r.params["k"] >= 2]
+    assert {r.check for r in searched} == {"system", "system-fixed"}
     assert sorted(walks) == sorted((r.params["sizes"], r.params["s"], r.params["k"])
-                                   for r in evaluated)
+                                   for r in searched)
     # a second call starts the same searches
     searches = list(walks)
     walks.clear()
@@ -253,6 +255,9 @@ def test_every_system_point_runs_its_own_search(monkeypatch):
     walks.clear()
     params = {"sizes": (5, 5), "s": 1, "k": 2}
     assert evaluate_point(("system", params, None)).passed
+    assert walks == [((5, 5), 1, 2)]
+    walks.clear()
+    assert evaluate_point(("system-fixed", params, None)).passed
     assert walks == [((5, 5), 1, 2)]
 
 
@@ -264,10 +269,11 @@ def test_a_search_one_short_fails_both_system_checks_at_its_point(monkeypatch):
         ("system", {"sizes": (5, 5), "s": 1, "k": 2}),
         ("system-fixed", {"sizes": (5, 5), "s": 1, "k": 2})]
     system, fixed = failing
-    # closed forms on the left, enumeration (one selection short) on the right
+    # closed forms on the left, enumeration on the right: the count one
+    # selection short, the tally without the root, the one prefix at k = 2
     assert (system.left, system.right) == ("35", "34")
-    assert (fixed.left, fixed.right) == ("7", "6")
-    assert fixed.counterexample.startswith("fixed=1@1: enumeration 6")
+    assert (fixed.left, fixed.right) == ("7", "0")
+    assert fixed.counterexample.startswith("fixed=1@1: enumeration 0")
 
 
 # ---------------------------------------------------------------------------
